@@ -19,6 +19,7 @@
 //
 // Exit codes: 0 success, 2 bad usage / unknown scenario.
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -332,7 +333,12 @@ int main(int argc, char** argv) {
       have_artifact_voltage = true;
     } else if (arg == "--threads") {
       const char* n = next("--threads");
-      if (std::atoll(n) < 1) {
+      // Whole decimal digits only: no sign, space, suffix or exponent.
+      char* end = nullptr;
+      errno = 0;
+      const long long count = std::strtoll(n, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(n[0])) || *end != '\0' ||
+          errno == ERANGE || count < 1) {
         std::fprintf(stderr, "sparkxd_run: --threads wants a count >= 1\n");
         return 2;
       }

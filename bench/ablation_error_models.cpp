@@ -34,8 +34,8 @@ int main() {
                                        seed, 1e-3);
   core::FaultTrainingConfig ft;
   ft.ber_stages = {1e-7, 1e-5, 1e-3};
-  auto improved = core::improve_error_tolerance(baseline, ft, train_inj,
-                                                train, test, rng);
+  auto improved = core::improve_error_tolerance(
+      baseline, ft, core::LayerInjectors{&train_inj}, train, test, rng);
 
   Table t("ablation_error_models",
           {"evaluation error model", "baseline acc @BER 1e-3",
@@ -49,11 +49,12 @@ int main() {
     spec.kind = kind;
     const auto eval_inj = error::ErrorInjector::for_weights(g, profile, spec, place, n_weights,
                                         seed, 1e-3);
+    const core::LayerInjectors eval_injectors{&eval_inj};
     const double acc_base = core::evaluate_corrupted(
-        baseline.net, baseline.labels, eval_inj, 1e-3, test, rng, 2);
+        baseline.net, baseline.labels, eval_injectors, 1e-3, test, rng, 2);
     const double acc_impr = core::evaluate_corrupted(
-        improved.improved.net, improved.improved.labels, eval_inj, 1e-3,
-        test, rng, 2);
+        improved.improved.net, improved.improved.labels, eval_injectors,
+        1e-3, test, rng, 2);
     t.add_row({to_string(kind), Table::pct(100.0 * acc_base, 1),
                Table::pct(100.0 * acc_impr, 1)});
   }

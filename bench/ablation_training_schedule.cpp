@@ -31,6 +31,7 @@ int main() {
   const auto place = mapping::baseline_placement(g, n_weights);
   const auto injector = error::ErrorInjector::for_weights(g, profile, {}, place, n_weights, seed,
                                       1e-3);
+  const core::LayerInjectors injectors{&injector};
 
   core::FaultTrainingConfig ft;  // for clip / calibration defaults
   const auto ft_with = [](const std::vector<double>& stages) {
@@ -45,7 +46,7 @@ int main() {
     const double clean_before = model.clean_accuracy;
     if (!stages.empty()) {
       auto improved = core::improve_error_tolerance(model, ft_with(stages),
-                                                    injector, train, test,
+                                                    injectors, train, test,
                                                     rng);
       model = improved.improved;
     } else {
@@ -58,7 +59,7 @@ int main() {
     out.clean_before = clean_before;
     out.clean_after = snn::evaluate(model.net, model.labels, test, rng);
     out.corrupted = core::evaluate_corrupted(model.net, model.labels,
-                                             injector, 1e-3, test, rng, 3,
+                                             injectors, 1e-3, test, rng, 3,
                                              ft.weight_clip);
     return out;
   };

@@ -33,8 +33,8 @@ int main() {
                                       1e-3);
   core::FaultTrainingConfig ft;
   ft.ber_stages = {1e-7, 1e-5, 1e-3};
-  auto improved =
-      core::improve_error_tolerance(baseline, ft, injector, train, test, rng);
+  auto improved = core::improve_error_tolerance(
+      baseline, ft, core::LayerInjectors{&injector}, train, test, rng);
 
   // §IV-C linear search over the BER grid for both models.
   const double target = baseline.clean_accuracy - ft.accuracy_bound;

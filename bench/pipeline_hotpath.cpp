@@ -53,7 +53,7 @@ std::vector<std::uint32_t> legacy_infer(const snn::Network& net,
   const auto& cfg = net.config();
   const std::size_t ni = cfg.n_inputs;
   const std::size_t nn = cfg.n_neurons;
-  const std::vector<float>& w = net.weights();
+  const std::vector<float>& w = net.weights(0);
   snn::PoissonEncoder encoder(cfg.max_rate);
   lif.reset_dynamics();
   lif.set_plastic(false);
@@ -88,17 +88,17 @@ double legacy_evaluate_corrupted(const snn::Network& net,
                                  float weight_clip) {
   const error::SanitizeRange sanitize{net.config().stdp.w_min, weight_clip};
   const std::uint64_t stream = rng.next_u64();
-  const std::vector<float>& snapshot = net.weights();
+  const std::vector<float>& snapshot = net.weights(0);
   snn::Network scratch = net;
   snn::LifLayer lif(net.config().n_neurons, net.config().lif,
                     net.config().dt_ms);
-  lif.thetas_mut() = net.thetas();
+  lif.thetas_mut() = net.thetas(0);
   double acc_sum = 0.0;
   for (std::size_t t = 0; t < trials; ++t) {
     Rng inject_rng(hash_combine(stream, 2 * t));
     Rng eval_rng(hash_combine(stream, 2 * t + 1));
-    if (t != 0) scratch.weights_mut() = snapshot;  // full per-trial restore
-    injector.inject(scratch.weights_mut(), ber, inject_rng, sanitize);
+    if (t != 0) scratch.weights_mut(0) = snapshot;  // full per-trial restore
+    injector.inject(scratch.weights_mut(0), ber, inject_rng, sanitize);
     const std::uint64_t eval_stream = eval_rng.next_u64();
     std::size_t n_correct = 0;
     for (std::size_t i = 0; i < test.size(); ++i) {
@@ -160,10 +160,11 @@ int main(int argc, char** argv) {
   const auto place = mapping::baseline_placement(g, n_weights);
   const auto injector = error::ErrorInjector::for_weights(
       g, profile, {}, place, n_weights, seed, 1e-3);
+  const core::LayerInjectors injectors{&injector};
   core::FaultTrainingConfig ft;
   ft.ber_stages = {1e-5, 1e-4, 1e-3};
   const auto t2 = Clock::now();
-  const auto fa = core::improve_error_tolerance(model, ft, injector, train,
+  const auto fa = core::improve_error_tolerance(model, ft, injectors, train,
                                                 test, rng);
   const auto t3 = Clock::now();
 
@@ -188,7 +189,7 @@ int main(int argc, char** argv) {
     return std::pair{ns_between(s0, s1), acc};
   };
   const auto [hot_ns, hot_acc] = timed_mc([&](Rng& r, std::size_t n) {
-    return core::evaluate_corrupted(model.net, model.labels, injector, ber,
+    return core::evaluate_corrupted(model.net, model.labels, injectors, ber,
                                     test, r, n);
   });
   const auto [legacy_ns, legacy_acc] = timed_mc([&](Rng& r, std::size_t n) {

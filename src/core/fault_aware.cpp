@@ -165,19 +165,6 @@ double evaluate_corrupted_ecc(const snn::Network& net,
   return acc_sum / static_cast<double>(trials);
 }
 
-double evaluate_corrupted(const snn::Network& net,
-                          const snn::NeuronLabels& labels,
-                          const error::ErrorInjector& injector, double ber,
-                          const data::Dataset& test, Rng& rng,
-                          std::size_t trials, float weight_clip) {
-  SPARKXD_REQUIRE(net.n_layers() == 1,
-                  "the single-injector overload addresses THE layer of a "
-                  "single-layer network — deep stacks pass a LayerInjectors "
-                  "list");
-  return evaluate_corrupted(net, labels, LayerInjectors{&injector}, ber, test,
-                            rng, trials, weight_clip);
-}
-
 FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
                                          const FaultTrainingConfig& cfg,
                                          const LayerInjectors& injectors,
@@ -196,7 +183,7 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
                                       cfg.weight_clip};
   const auto inject_all = [&](snn::Network& net, double rate, Rng& r) {
     // Layers draw serially from the caller's generator, input side first —
-    // for a single-layer stack exactly the legacy single inject call.
+    // for a single-layer stack exactly one inject call.
     for (std::size_t l = 0; l < n_layers; ++l)
       if (injectors[l] != nullptr)
         injectors[l]->inject(net.weights_mut(l), rate, r, sanitize);
@@ -249,19 +236,6 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   return result;
 }
 
-FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
-                                         const FaultTrainingConfig& cfg,
-                                         const error::ErrorInjector& injector,
-                                         const data::Dataset& train,
-                                         const data::Dataset& test, Rng& rng) {
-  SPARKXD_REQUIRE(baseline.net.n_layers() == 1,
-                  "the single-injector overload addresses THE layer of a "
-                  "single-layer network — deep stacks pass a LayerInjectors "
-                  "list");
-  return improve_error_tolerance(baseline, cfg, LayerInjectors{&injector},
-                                 train, test, rng);
-}
-
 ToleranceAnalysis analyze_tolerance(const snn::Network& net,
                                     const snn::NeuronLabels& labels,
                                     const error::ErrorInjector& injector,
@@ -271,10 +245,11 @@ ToleranceAnalysis analyze_tolerance(const snn::Network& net,
                                     std::size_t trials) {
   SPARKXD_REQUIRE(std::is_sorted(rates.begin(), rates.end()),
                   "linear search expects ascending BER values");
+  const LayerInjectors injectors{&injector};
   ToleranceAnalysis out;
   for (const double ber : rates) {
     const double acc =
-        evaluate_corrupted(net, labels, injector, ber, test, rng, trials);
+        evaluate_corrupted(net, labels, injectors, ber, test, rng, trials);
     out.curve.push_back({ber, acc});
     if (acc >= target_accuracy) {
       out.ber_th = ber;

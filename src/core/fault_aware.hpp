@@ -73,34 +73,25 @@ struct FaultAwareResult {
 /// time). Size must equal the network's n_layers().
 using LayerInjectors = std::vector<const error::ErrorInjector*>;
 
-/// Evaluates a model with weights corrupted at `ber` through `injector`.
-/// Averages `trials` fresh error draws; trials run concurrently (see
-/// common/parallel), each with its own Rng substream keyed off one draw
-/// from `rng`, so the result is deterministic in `rng`'s state and
-/// identical at every thread count. The hot path is delta-based: the flip
-/// candidates at `ber` are frozen once (ErrorInjector::freeze) and shared
-/// across all trials, each worker owns one corruptible weight copy plus a
-/// reused snn::InferenceState, and between trials only the recorded flips
-/// are reverted instead of restoring a full snapshot — bit-identical to
-/// the snapshot loop (tests/core_test.cpp proves it against a reference
-/// implementation). `net` is untouched (const — required for the
-/// concurrent per-voltage sweep to share one trained model). `weight_clip`
-/// is the load-time range clip applied to corrupted values.
-[[nodiscard]] double evaluate_corrupted(const snn::Network& net,
-                                        const snn::NeuronLabels& labels,
-                                        const error::ErrorInjector& injector,
-                                        double ber, const data::Dataset& test,
-                                        Rng& rng, std::size_t trials = 1,
-                                        float weight_clip = kDefaultWeightClip);
-
-/// Layer-stack generalization: every non-null entry of `injectors` corrupts
-/// its layer's weights at `ber` each trial. Rng stream discipline: a
-/// single-layer stack consumes the trial's injection stream directly — the
-/// legacy discipline, so the single-injector overload above is bit-identical
-/// to this one with a one-element list — while an L>1 stack forks per-layer
-/// injection substreams (layer l draws from inject_rng.fork(l)), keeping
-/// each layer's error draw independent of which other layers are corrupted
-/// (what lets the per-layer tolerance analysis reuse the same draws).
+/// Evaluates a model with every non-null entry of `injectors` corrupting its
+/// layer's weights at `ber`. Averages `trials` fresh error draws; trials run
+/// concurrently (see common/parallel), each with its own Rng substream keyed
+/// off one draw from `rng`, so the result is deterministic in `rng`'s state
+/// and identical at every thread count. The hot path is delta-based: the
+/// flip candidates at `ber` are frozen once (ErrorInjector::freeze) and
+/// shared across all trials, each worker owns one corruptible weight copy
+/// plus a reused snn::InferenceState, and between trials only the recorded
+/// flips are reverted instead of restoring a full snapshot — bit-identical
+/// to the snapshot loop (tests/core_test.cpp proves it against a reference
+/// implementation). `net` is untouched (const — required for the concurrent
+/// per-voltage sweep to share one trained model). `weight_clip` is the
+/// load-time range clip applied to corrupted values.
+///
+/// Rng stream discipline: a single-layer stack consumes the trial's
+/// injection stream directly, while an L>1 stack forks per-layer injection
+/// substreams (layer l draws from inject_rng.fork(l)), keeping each layer's
+/// error draw independent of which other layers are corrupted (what lets
+/// the per-layer tolerance analysis reuse the same draws).
 [[nodiscard]] double evaluate_corrupted(const snn::Network& net,
                                         const snn::NeuronLabels& labels,
                                         const LayerInjectors& injectors,
@@ -146,26 +137,20 @@ struct EccScrubTotals {
 
 /// Algorithm 1: improves the baseline model's error tolerance and records
 /// the largest stage BER whose accuracy meets
-/// (baseline.clean_accuracy - cfg.accuracy_bound).
-/// `injector` must be built over the training-time (baseline) placement.
-[[nodiscard]] FaultAwareResult improve_error_tolerance(
-    const snn::TrainedModel& baseline, const FaultTrainingConfig& cfg,
-    const error::ErrorInjector& injector, const data::Dataset& train,
-    const data::Dataset& test, Rng& rng);
-
-/// Layer-stack generalization of Algorithm 1: every stage injects each
+/// (baseline.clean_accuracy - cfg.accuracy_bound). Every stage injects each
 /// layer's weights through its own injector (layers in order, all drawing
 /// serially from `rng`) before the retraining epoch, so STDP learns around
-/// the weak cells of EVERY layer's DRAM region. One-element lists reproduce
-/// the single-injector overload bit for bit.
+/// the weak cells of EVERY layer's DRAM region. The injectors must be built
+/// over the training-time (baseline) placement.
 [[nodiscard]] FaultAwareResult improve_error_tolerance(
     const snn::TrainedModel& baseline, const FaultTrainingConfig& cfg,
     const LayerInjectors& injectors, const data::Dataset& train,
     const data::Dataset& test, Rng& rng);
 
-/// §IV-C tolerance analysis on an already-trained model: evaluates the
-/// corrupted accuracy at every BER in `rates` (ascending) and returns the
-/// curve plus the largest rate meeting `target_accuracy`.
+/// §IV-C tolerance analysis on an already-trained single-layer model:
+/// evaluates the accuracy with `injector` corrupting layer 0 at every BER in
+/// `rates` (ascending) and returns the curve plus the largest rate meeting
+/// `target_accuracy`.
 struct ToleranceAnalysis {
   std::vector<TolerancePoint> curve;
   double ber_th = 0.0;

@@ -8,7 +8,6 @@
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
-#include "error/ecc.hpp"
 
 namespace sparkxd::error {
 
@@ -75,12 +74,58 @@ class ParityScheme final : public EccScheme {
   }
 };
 
-// --- Secded: the legacy Hamming(72,64), via delegation ---------------------
+// --- Secded: Hamming(71,64) + overall parity = SECDED(72,64) ---------------
 //
-// Encode and the data-side decode result are bit-identical to
-// secded_encode/secded_decode (tests/ecc_scheme_test.cpp diffs them on a
-// randomized corpus); on kCorrected the check byte is re-derived from the
-// corrected data so the stored codeword is valid again.
+// Codeword positions are numbered 1..71; the powers of two (1,2,4,...,64)
+// carry the 7 Hamming parity bits and the remaining 64 positions carry the
+// data bits in ascending order. Check bit k < 7 is the parity of the data
+// bits whose position has bit k set; check bit 7 is the overall parity of
+// all 71 positions. A flipped data bit therefore yields its own position as
+// the syndrome, a flipped Hamming bit its power-of-two position.
+// tests/ecc_scheme_test.cpp pins encode/decode with known-answer digests.
+
+/// Codeword position (1..71) of each data bit.
+constexpr std::array<std::uint8_t, 64> kSecdedDataPos = [] {
+  std::array<std::uint8_t, 64> pos{};
+  std::size_t i = 0;
+  for (unsigned p = 1; i < 64; ++p)
+    if ((p & (p - 1)) != 0) pos[i++] = static_cast<std::uint8_t>(p);
+  return pos;
+}();
+
+/// Syndrome -> data bit + 1; 0 for parity positions and for syndromes past
+/// the last position (72..127), which name no data bit.
+constexpr std::array<std::uint8_t, 128> kSecdedSyndromeToData = [] {
+  std::array<std::uint8_t, 128> map{};
+  for (std::size_t i = 0; i < 64; ++i)
+    map[kSecdedDataPos[i]] = static_cast<std::uint8_t>(i + 1);
+  return map;
+}();
+
+/// Data bits covered by Hamming parity bit k.
+constexpr std::array<std::uint64_t, 7> kSecdedParityMask = [] {
+  std::array<std::uint64_t, 7> mask{};
+  for (unsigned k = 0; k < 7; ++k)
+    for (unsigned i = 0; i < 64; ++i)
+      if (kSecdedDataPos[i] & (1u << k)) mask[k] |= std::uint64_t{1} << i;
+  return mask;
+}();
+
+/// The 7 Hamming parity bits of a data word.
+[[nodiscard]] inline unsigned secded_hamming(std::uint64_t data) {
+  unsigned h = 0;
+  for (unsigned k = 0; k < 7; ++k)
+    h |= static_cast<unsigned>(std::popcount(data & kSecdedParityMask[k]) & 1)
+         << k;
+  return h;
+}
+
+[[nodiscard]] inline std::uint64_t secded_check(std::uint64_t data) {
+  const unsigned h = secded_hamming(data);
+  const unsigned overall =
+      static_cast<unsigned>(std::popcount(data) + std::popcount(h)) & 1u;
+  return h | (overall << 7);
+}
 
 class SecdedScheme final : public EccScheme {
  public:
@@ -94,29 +139,35 @@ class SecdedScheme final : public EccScheme {
   [[nodiscard]] unsigned detectable_bits() const noexcept override { return 2; }
 
   void encode(const std::uint64_t* data, std::uint64_t* check) const override {
-    check[0] = secded_encode(data[0]);
+    check[0] = secded_check(data[0]);
   }
 
   EccDecode decode(std::uint64_t* data, std::uint64_t* check) const override {
+    // Only the low check byte is stored; higher bits of check[0] are ignored.
+    const auto stored = static_cast<std::uint8_t>(check[0]);
+    const unsigned syndrome = secded_hamming(data[0]) ^ (stored & 0x7Fu);
+    // Overall parity of the received 72-bit codeword: 1 for any odd number
+    // of flipped bits.
+    const unsigned overall = static_cast<unsigned>(std::popcount(data[0]) +
+                                                   std::popcount(stored)) &
+                             1u;
+    if (syndrome == 0 && overall == 0) return {EccStatus::kClean, 0};
+    // Even number of flips with a non-zero syndrome: double error.
+    if (overall == 0) return {EccStatus::kDetected, 0};
+    // Odd number of flips: assume one. A syndrome naming a data position
+    // flips that bit back; otherwise the flip was in the check byte. Three
+    // or more flips land here too and are reported kCorrected (beyond the
+    // guarantee, possibly miscorrected). The check word is re-derived so
+    // the stored codeword is valid again.
     const std::uint64_t old_data = data[0];
     const std::uint64_t old_check = check[0];
-    const SecdedStatus r =
-        secded_decode(data[0], static_cast<std::uint8_t>(check[0]));
-    switch (r) {
-      case SecdedStatus::kClean:
-        return {EccStatus::kClean, 0};
-      case SecdedStatus::kUncorrectable:
-        data[0] = old_data;
-        return {EccStatus::kDetected, 0};
-      case SecdedStatus::kCorrected: {
-        check[0] = secded_encode(data[0]);
-        const unsigned flipped =
-            static_cast<unsigned>(std::popcount(old_data ^ data[0]) +
-                                  std::popcount(old_check ^ check[0]));
-        return {EccStatus::kCorrected, flipped};
-      }
-    }
-    return {EccStatus::kDetected, 0};  // unreachable
+    if (const unsigned bit = kSecdedSyndromeToData[syndrome]; bit != 0)
+      data[0] ^= std::uint64_t{1} << (bit - 1);
+    check[0] = secded_check(data[0]);
+    const unsigned flipped =
+        static_cast<unsigned>(std::popcount(old_data ^ data[0]) +
+                              std::popcount(old_check ^ check[0]));
+    return {EccStatus::kCorrected, flipped};
   }
 };
 

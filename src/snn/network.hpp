@@ -167,31 +167,6 @@ class Network {
   void set_engine(EngineKind engine) noexcept { cfg_.engine = engine; }
   [[nodiscard]] EngineKind engine() const noexcept { return cfg_.engine; }
 
-  // ---- Legacy single-layer aliases. ------------------------------------
-  // The pre-stack API addressed THE layer; these forward to layer 0 and
-  // require a single-layer stack so deep-network callers are forced to name
-  // the layer explicitly instead of silently touching only one of them.
-
-  [[nodiscard]] const std::vector<float>& weights() const {
-    return weights(only_layer());
-  }
-  [[nodiscard]] std::vector<float>& weights_mut() {
-    return weights_mut(only_layer());
-  }
-  [[nodiscard]] std::vector<float>& weights_delta() {
-    return weights_delta(only_layer());
-  }
-  void mirror_weight(std::size_t idx) { mirror_weight(only_layer(), idx); }
-  [[nodiscard]] const std::vector<float>& weights_T() const {
-    return weights_T(only_layer());
-  }
-  [[nodiscard]] const std::vector<float>& thetas() const {
-    return thetas(only_layer());
-  }
-  [[nodiscard]] std::vector<float>& thetas_mut() {
-    return thetas_mut(only_layer());
-  }
-
   /// Rebuilds every stale transposed weight copy from its row-major array.
   void sync_transpose();
   /// True when every layer's transposed copy is in sync.
@@ -256,13 +231,6 @@ class Network {
   [[nodiscard]] const Layer& layer(std::size_t l) const {
     SPARKXD_REQUIRE(l < layers_.size(), "layer index out of range");
     return layers_[l];
-  }
-  /// Index of the only layer; throws for deep stacks (legacy-alias guard).
-  [[nodiscard]] std::size_t only_layer() const {
-    SPARKXD_REQUIRE(layers_.size() == 1,
-                    "this accessor addresses THE layer of a single-layer "
-                    "network — a deep stack needs an explicit layer index");
-    return 0;
   }
 
   /// The two infer() kernels (common setup/validation lives in infer()).

@@ -120,6 +120,21 @@ TEST(CliTest, BadArtifactVoltageExitsTwo) {
       << r.output;
 }
 
+TEST(CliTest, ThreadsAcceptsOnlyAWholeCount) {
+  // A suffix or an exponent must not pass as a count (strtoll-style parsing
+  // would read "2x" as 2 and "1e9" as 1).
+  for (const char* bad : {"2x", "1e9", "0", "-3", "+2", ""}) {
+    const auto r =
+        run_cli(std::string("--list --threads '") + bad + "'");
+    EXPECT_EQ(r.exit_code, 2) << "--threads '" << bad << "'";
+    EXPECT_NE(r.output.find("--threads wants a count >= 1"),
+              std::string::npos)
+        << r.output;
+  }
+  const auto ok = run_cli("--list --threads 3");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
 TEST(CliTest, HelpExitsZero) {
   const auto r = run_cli("--help");
   EXPECT_EQ(r.exit_code, 0);

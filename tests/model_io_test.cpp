@@ -46,8 +46,8 @@ class ModelIoTest : public ::testing::Test {
 TEST_F(ModelIoTest, RoundTripPreservesEverything) {
   save_model(*model_, path_);
   const auto loaded = load_model(path_);
-  EXPECT_EQ(loaded.net.weights(), model_->net.weights());
-  EXPECT_EQ(loaded.net.thetas(), model_->net.thetas());
+  EXPECT_EQ(loaded.net.weights(0), model_->net.weights(0));
+  EXPECT_EQ(loaded.net.thetas(0), model_->net.thetas(0));
   EXPECT_EQ(loaded.labels.label, model_->labels.label);
   EXPECT_EQ(loaded.labels.bias, model_->labels.bias);
   EXPECT_EQ(loaded.labels.num_classes, model_->labels.num_classes);

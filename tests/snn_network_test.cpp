@@ -33,7 +33,7 @@ std::vector<float> bright_image(std::size_t n, float value = 0.8f) {
 TEST(Network, InitialWeightsNormalized) {
   const auto cfg = tiny_config();
   Network net(cfg);
-  const auto& w = net.weights();
+  const auto& w = net.weights(0);
   ASSERT_EQ(w.size(), cfg.n_neurons * cfg.n_inputs);
   for (std::size_t n = 0; n < cfg.n_neurons; ++n) {
     float sum = 0.0f;
@@ -47,18 +47,18 @@ TEST(Network, InitialWeightsNormalized) {
 TEST(Network, WeightInitDeterministicInSeed) {
   auto cfg = tiny_config();
   Network a(cfg), b(cfg);
-  EXPECT_EQ(a.weights(), b.weights());
+  EXPECT_EQ(a.weights(0), b.weights(0));
   cfg.seed = 8;
   Network c(cfg);
-  EXPECT_NE(a.weights(), c.weights());
+  EXPECT_NE(a.weights(0), c.weights(0));
 }
 
 TEST(Network, NormalizeRowsRestoresTarget) {
   const auto cfg = tiny_config();
   Network net(cfg);
-  for (auto& w : net.weights_mut()) w *= 3.0f;
+  for (auto& w : net.weights_mut(0)) w *= 3.0f;
   net.normalize_rows();
-  const auto& w = net.weights();
+  const auto& w = net.weights(0);
   float sum = 0.0f;
   for (std::size_t i = 0; i < cfg.n_inputs; ++i) sum += w[i];
   EXPECT_NEAR(sum, cfg.norm_target, 0.01f);
@@ -68,30 +68,30 @@ TEST(Network, NormalizeSkipsZeroRows) {
   const auto cfg = tiny_config();
   Network net(cfg);
   for (std::size_t i = 0; i < cfg.n_inputs; ++i)
-    net.weights_mut()[i] = 0.0f;  // zero out neuron 0
+    net.weights_mut(0)[i] = 0.0f;  // zero out neuron 0
   net.normalize_rows();
   for (std::size_t i = 0; i < cfg.n_inputs; ++i)
-    EXPECT_EQ(net.weights()[i], 0.0f);
+    EXPECT_EQ(net.weights(0)[i], 0.0f);
 }
 
 TEST(Network, InferenceDoesNotChangeWeightsOrThetas) {
   const auto cfg = tiny_config();
   Network net(cfg);
-  const auto w_before = net.weights();
-  const auto theta_before = net.thetas();
+  const auto w_before = net.weights(0);
+  const auto theta_before = net.thetas(0);
   Rng rng(1);
   (void)net.process(bright_image(cfg.n_inputs), /*learn=*/false, rng);
-  EXPECT_EQ(net.weights(), w_before);
-  EXPECT_EQ(net.thetas(), theta_before);
+  EXPECT_EQ(net.weights(0), w_before);
+  EXPECT_EQ(net.thetas(0), theta_before);
 }
 
 TEST(Network, LearningChangesWeights) {
   const auto cfg = tiny_config();
   Network net(cfg);
-  const auto w_before = net.weights();
+  const auto w_before = net.weights(0);
   Rng rng(1);
   (void)net.process(bright_image(cfg.n_inputs), /*learn=*/true, rng);
-  EXPECT_NE(net.weights(), w_before);
+  EXPECT_NE(net.weights(0), w_before);
 }
 
 TEST(Network, LearningKeepsRowsNormalized) {
@@ -99,7 +99,7 @@ TEST(Network, LearningKeepsRowsNormalized) {
   Network net(cfg);
   Rng rng(1);
   (void)net.process(bright_image(cfg.n_inputs), /*learn=*/true, rng);
-  const auto& w = net.weights();
+  const auto& w = net.weights(0);
   for (std::size_t n = 0; n < cfg.n_neurons; ++n) {
     float sum = 0.0f;
     for (std::size_t i = 0; i < cfg.n_inputs; ++i)
@@ -174,8 +174,8 @@ TEST(Network, TransposeMirrorsRowMajorAfterTraining) {
   (void)net.process(bright_image(cfg.n_inputs), /*learn=*/true, rng);
   EXPECT_FALSE(net.transpose_synced());  // training moved the rows
   net.sync_transpose();
-  const auto& w = net.weights();
-  const auto& wt = net.weights_T();
+  const auto& w = net.weights(0);
+  const auto& wt = net.weights_T(0);
   ASSERT_EQ(wt.size(), w.size());
   for (std::size_t n = 0; n < cfg.n_neurons; ++n)
     for (std::size_t i = 0; i < cfg.n_inputs; ++i)
@@ -185,30 +185,30 @@ TEST(Network, TransposeMirrorsRowMajorAfterTraining) {
 
 TEST(Network, StaleTransposeIsRejectedUntilSynced) {
   Network net(tiny_config());
-  net.weights_mut()[3] = 0.77f;
+  net.weights_mut(0)[3] = 0.77f;
   EXPECT_FALSE(net.transpose_synced());
-  EXPECT_THROW((void)net.weights_T(), ContractViolation);
-  EXPECT_THROW((void)net.weights_delta(), ContractViolation);
+  EXPECT_THROW((void)net.weights_T(0), ContractViolation);
+  EXPECT_THROW((void)net.weights_delta(0), ContractViolation);
   InferenceState state(net);
   Rng rng(1);
   EXPECT_THROW((void)net.infer(state, bright_image(net.config().n_inputs),
                                rng),
                ContractViolation);
   net.sync_transpose();
-  EXPECT_EQ(net.weights_T()[3 * net.config().n_neurons], 0.77f);
+  EXPECT_EQ(net.weights_T(0)[3 * net.config().n_neurons], 0.77f);
 }
 
 TEST(Network, DeltaMirrorEqualsFullResync) {
   const auto cfg = tiny_config();
   Network full(cfg), delta(cfg);
   const std::size_t idx = 5 * cfg.n_inputs + 17;  // neuron 5, input 17
-  full.weights_mut()[idx] = 0.123f;
+  full.weights_mut(0)[idx] = 0.123f;
   full.sync_transpose();
-  delta.weights_delta()[idx] = 0.123f;
-  delta.mirror_weight(idx);
+  delta.weights_delta(0)[idx] = 0.123f;
+  delta.mirror_weight(0, idx);
   EXPECT_TRUE(delta.transpose_synced());
-  EXPECT_EQ(full.weights(), delta.weights());
-  EXPECT_EQ(full.weights_T(), delta.weights_T());
+  EXPECT_EQ(full.weights(0), delta.weights(0));
+  EXPECT_EQ(full.weights_T(0), delta.weights_T(0));
 }
 
 TEST(Network, InferMatchesProcessBitwise) {
@@ -254,7 +254,7 @@ TEST(Network, StaleInferenceStateResyncsAfterRetraining) {
 TEST(Network, ThetaGenerationBumpsOnEveryMutationPath) {
   Network net(tiny_config());
   const auto g0 = net.theta_generation();
-  (void)net.thetas_mut();  // mutable access presumes mutation
+  (void)net.thetas_mut(0);  // mutable access presumes mutation
   EXPECT_EQ(net.theta_generation(), g0 + 1);
   Rng rng(3);
   (void)net.process(bright_image(net.config().n_inputs), /*learn=*/true, rng);
@@ -272,7 +272,7 @@ TEST(Network, ThetaGenerationBumpsOnEveryMutationPath) {
 TEST(Network, ExplicitResyncRefreshesSnapshot) {
   Network net(tiny_config());
   InferenceState state(net);
-  net.thetas_mut()[0] += 0.5f;
+  net.thetas_mut(0)[0] += 0.5f;
   EXPECT_NE(state.generation(), net.theta_generation());
   state.resync(net);
   EXPECT_EQ(state.generation(), net.theta_generation());
@@ -282,12 +282,12 @@ TEST(Network, InferLeavesNetworkUntouched) {
   const auto cfg = tiny_config();
   Network net(cfg);
   InferenceState state(net);
-  const auto w_before = net.weights();
-  const auto theta_before = net.thetas();
+  const auto w_before = net.weights(0);
+  const auto theta_before = net.thetas(0);
   Rng rng(4);
   (void)net.infer(state, bright_image(cfg.n_inputs), rng);
-  EXPECT_EQ(net.weights(), w_before);
-  EXPECT_EQ(net.thetas(), theta_before);
+  EXPECT_EQ(net.weights(0), w_before);
+  EXPECT_EQ(net.thetas(0), theta_before);
   EXPECT_TRUE(net.transpose_synced());
 }
 
@@ -459,12 +459,9 @@ TEST(DeepNetwork, OutputLayerInitMatchesTheFlatNetworkBitwise) {
   EXPECT_EQ(deep.weights(1), flat.weights(0));
 }
 
-TEST(DeepNetwork, SingleLayerAliasesRejectDeepStacks) {
+TEST(DeepNetwork, LayerIndexOutOfRangeThrows) {
   Network deep(deep_config());
-  EXPECT_THROW((void)deep.weights(), ContractViolation);
-  EXPECT_THROW((void)deep.weights_mut(), ContractViolation);
-  EXPECT_THROW((void)deep.thetas(), ContractViolation);
-  EXPECT_THROW((void)deep.weights(3), ContractViolation);  // out of range
+  EXPECT_THROW((void)deep.weights(3), ContractViolation);
 }
 
 TEST(DeepNetwork, ProcessAndInferAgreeBitwise) {
