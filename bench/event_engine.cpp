@@ -1,15 +1,16 @@
-// Event-engine density sweep: wall-clock of Network::infer with the dense
-// transposed-gather reference versus the event-driven engine, across spike
-// densities (max_rate sweep) plus the all-zero-image short-circuit.
+// Event-kernel density sweep: wall-clock of Network::infer (the event
+// kernel) versus the dense reference Network::process(image, learn=false),
+// across spike densities (max_rate sweep) plus the all-zero-image
+// short-circuit.
 //
-// The event engine's contract is "bitwise-identical counts, strictly less
-// work": it gathers only over set bitset words and skips whole (layer,
-// timestep) updates that are provably the identity — empty input wave, LIF
-// state exactly at rest. At the paper's default rate (0.30) waves are rarely
-// empty and the engines should be near parity; as the rate drops the skip
-// rate climbs and the event engine pulls ahead. Every timed leg checksums
-// its spike counts, and a dense/event checksum mismatch exits non-zero —
-// the speedup claim is only meaningful if the results are identical.
+// The event kernel's contract is "bitwise-identical counts, strictly less
+// work": it skips whole (layer, timestep) updates that are provably the
+// identity — empty input wave, LIF state exactly at rest. At the paper's
+// default rate (0.30) waves are rarely empty and the kernels should be near
+// parity; as the rate drops the skip rate climbs and the event kernel pulls
+// ahead. Every timed leg checksums its spike counts, and a reference/event
+// checksum mismatch exits non-zero — the speedup claim is only meaningful
+// if the results are identical.
 
 #include <chrono>
 #include <cstdint>
@@ -56,21 +57,23 @@ struct LegResult {
   std::uint64_t checksum = 0;  ///< order-weighted spike-count sum
 };
 
-/// Times `reps` passes over the image batch with the given engine. Every
-/// (rep, image) pair reseeds its Rng deterministically, so the dense and
-/// event legs replay the exact same spike trains.
-LegResult run_leg(const snn::Network& base, snn::EngineKind engine,
+/// Times `reps` passes over the image batch on a copy of `base`: the dense
+/// reference process(learn=false) when `reference`, else the event kernel
+/// through infer(). Every (rep, image) pair reseeds its Rng
+/// deterministically, so both legs replay the exact same spike trains.
+LegResult run_leg(const snn::Network& base, bool reference,
                   const std::vector<std::vector<float>>& images,
                   std::size_t reps, std::uint64_t seed) {
   snn::Network net = base;
-  net.set_engine(engine);
   snn::InferenceState state(net);
   LegResult r;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t rep = 0; rep < reps; ++rep) {
     for (std::size_t i = 0; i < images.size(); ++i) {
       Rng rng(hash_combine(seed, rep * images.size() + i));
-      const auto counts = net.infer(state, images[i], rng);
+      const auto counts =
+          reference ? net.process(images[i], /*learn=*/false, rng)
+                    : net.infer(state, images[i], rng);
       for (std::size_t n = 0; n < counts.size(); ++n)
         r.checksum += static_cast<std::uint64_t>(counts[n]) * (n + 1);
     }
@@ -86,8 +89,9 @@ int main(int argc, char** argv) {
   using namespace sparkxd;
   const char* json_path = bench::json_out_path(argc, argv);
   bench::banner("event-driven inference — spike-density sweep",
-                "event engine matches dense bitwise and wins wall-clock as "
-                "spike density drops (empty waves get skipped outright)");
+                "event kernel matches the dense reference bitwise and wins "
+                "wall-clock as spike density drops (empty waves get skipped "
+                "outright)");
 
   const std::uint64_t seed = experiment_seed();
   const std::size_t reps = std::max<std::size_t>(scaled(24), 4);
@@ -100,88 +104,56 @@ int main(int argc, char** argv) {
   const std::vector<std::vector<float>> black(
       batch, std::vector<float>(784, 0.0f));
 
-  const std::vector<float> rates = {0.30f, 0.10f, 0.03f, 0.01f, 0.003f};
-
-  Table t("event_engine",
-          {"max_rate", "dense [ms]", "event [ms]", "speedup", "bit-equal"});
+  Table t("event_engine", {"max_rate", "reference [ms]", "event [ms]",
+                           "speedup", "bit-equal"});
   bench::BenchReport report("event_engine");
   bool all_equal = true;
   double low_density_speedup = 0.0;
 
-  for (const float rate : rates) {
-    const auto net = make_network(rate, seed);
-    // Warm-up legs (cache + page-in), then the timed pair.
-    (void)run_leg(net, snn::EngineKind::kDense, images, 1, seed);
-    (void)run_leg(net, snn::EngineKind::kEvent, images, 1, seed);
-    const auto dense =
-        run_leg(net, snn::EngineKind::kDense, images, reps, seed);
-    const auto event =
-        run_leg(net, snn::EngineKind::kEvent, images, reps, seed);
-    const bool equal = dense.checksum == event.checksum;
+  // Warm-up legs (cache + page-in), then the timed pair; one table row and
+  // one report phase per comparison.
+  const auto compare = [&](const std::string& label, const std::string& phase,
+                           const snn::Network& net,
+                           const std::vector<std::vector<float>>& imgs) {
+    (void)run_leg(net, true, imgs, 1, seed);
+    (void)run_leg(net, false, imgs, 1, seed);
+    const auto ref = run_leg(net, true, imgs, reps, seed);
+    const auto event = run_leg(net, false, imgs, reps, seed);
+    const bool equal = ref.checksum == event.checksum;
     all_equal &= equal;
-    const double speedup = dense.ms / std::max(event.ms, 1e-3);
-    low_density_speedup = speedup;  // last row = lowest rate
-    t.add_row({Table::num(rate, 3), Table::num(dense.ms, 2),
-               Table::num(event.ms, 2), Table::num(speedup, 2),
-               equal ? "yes" : "NO"});
-    auto& phase = report.add_phase("rate_" + Table::num(rate, 3),
-                                   reps * batch, event.ms * 1e6);
-    phase.metrics.emplace_back("max_rate", rate);
-    phase.metrics.emplace_back("dense_ms", dense.ms);
-    phase.metrics.emplace_back("event_ms", event.ms);
-    phase.metrics.emplace_back("speedup", speedup);
-    phase.metrics.emplace_back("checksum_equal", equal ? 1.0 : 0.0);
-  }
+    const double speedup = ref.ms / std::max(event.ms, 1e-3);
+    t.add_row({label, Table::num(ref.ms, 2), Table::num(event.ms, 2),
+               Table::num(speedup, 2), equal ? "yes" : "NO"});
+    auto& ph = report.add_phase(phase, reps * batch, event.ms * 1e6);
+    ph.metrics.emplace_back("max_rate", net.config().max_rate);
+    ph.metrics.emplace_back("reference_ms", ref.ms);
+    ph.metrics.emplace_back("event_ms", event.ms);
+    ph.metrics.emplace_back("speedup", speedup);
+    ph.metrics.emplace_back("checksum_equal", equal ? 1.0 : 0.0);
+    return speedup;
+  };
+
+  for (const float rate : {0.30f, 0.10f, 0.03f, 0.01f, 0.003f})
+    low_density_speedup =  // last row = lowest rate
+        compare(Table::num(rate, 3), "rate_" + Table::num(rate, 3),
+                make_network(rate, seed), images);
 
   // Deep stacks are where per-layer skipping bites hardest: hidden layers
   // sit exactly at rest until the first wave reaches them, and at low input
   // rates the upper layers stay silent for most (often all) of the sample.
-  for (const float rate : {0.10f, 0.01f}) {
-    const auto net = make_network(rate, seed, {64, 64});
-    (void)run_leg(net, snn::EngineKind::kDense, images, 1, seed);
-    (void)run_leg(net, snn::EngineKind::kEvent, images, 1, seed);
-    const auto dense =
-        run_leg(net, snn::EngineKind::kDense, images, reps, seed);
-    const auto event =
-        run_leg(net, snn::EngineKind::kEvent, images, reps, seed);
-    const bool equal = dense.checksum == event.checksum;
-    all_equal &= equal;
-    const double speedup = dense.ms / std::max(event.ms, 1e-3);
-    t.add_row({"deep " + Table::num(rate, 2), Table::num(dense.ms, 2),
-               Table::num(event.ms, 2), Table::num(speedup, 2),
-               equal ? "yes" : "NO"});
-    auto& phase = report.add_phase("deep_rate_" + Table::num(rate, 2),
-                                   reps * batch, event.ms * 1e6);
-    phase.metrics.emplace_back("max_rate", rate);
-    phase.metrics.emplace_back("dense_ms", dense.ms);
-    phase.metrics.emplace_back("event_ms", event.ms);
-    phase.metrics.emplace_back("speedup", speedup);
-    phase.metrics.emplace_back("checksum_equal", equal ? 1.0 : 0.0);
-  }
+  for (const float rate : {0.10f, 0.01f})
+    (void)compare("deep " + Table::num(rate, 2),
+                  "deep_rate_" + Table::num(rate, 2),
+                  make_network(rate, seed, {64, 64}), images);
 
   // The degenerate extreme: an all-zero image short-circuits the whole
   // sample (no active pixels -> no Rng draws -> provable silence).
-  {
-    const auto net = make_network(0.30f, seed);
-    const auto dense =
-        run_leg(net, snn::EngineKind::kDense, black, reps, seed);
-    const auto event =
-        run_leg(net, snn::EngineKind::kEvent, black, reps, seed);
-    const bool equal = dense.checksum == event.checksum;
-    all_equal &= equal;
-    const double speedup = dense.ms / std::max(event.ms, 1e-3);
-    t.add_row({"all-zero", Table::num(dense.ms, 2), Table::num(event.ms, 2),
-               Table::num(speedup, 2), equal ? "yes" : "NO"});
-    auto& phase =
-        report.add_phase("all_zero_image", reps * batch, event.ms * 1e6);
-    phase.metrics.emplace_back("dense_ms", dense.ms);
-    phase.metrics.emplace_back("event_ms", event.ms);
-    phase.metrics.emplace_back("speedup", speedup);
-    phase.metrics.emplace_back("checksum_equal", equal ? 1.0 : 0.0);
-  }
+  (void)compare("all-zero", "all_zero_image", make_network(0.30f, seed),
+                black);
   t.emit();
 
-  std::printf("\nevent counts bit-identical to dense on every leg: %s\n",
+  std::printf("\nevent counts bit-identical to the reference on every leg: "
+              "%s\n",
               all_equal ? "yes" : "NO — EQUIVALENCE VIOLATION");
   std::printf("lowest-rate speedup: %.2fx (expect >1 once most waves are "
               "empty; ~1x at the paper's default rate 0.30)\n",

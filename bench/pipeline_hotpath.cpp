@@ -13,8 +13,8 @@
 //               spike-gather kernel, reused per-worker inference scratch.
 //   * legacy  — the pre-optimization loop, reconstructed faithfully here:
 //               full weight-snapshot restore per trial, per-call candidate
-//               scan (ErrorInjector::inject), and the row-major
-//               neuron-outer gather kernel.
+//               enumeration (ErrorInjector::freeze on every trial), and the
+//               row-major neuron-outer gather kernel.
 // Both legs must produce the SAME mean accuracy bit for bit (the exit code
 // enforces it); `speedup_vs_legacy` records the win. The hot-path gains are
 // copy/enumeration/layout eliminations, so the ratio is thread-count
@@ -98,7 +98,8 @@ double legacy_evaluate_corrupted(const snn::Network& net,
     Rng inject_rng(hash_combine(stream, 2 * t));
     Rng eval_rng(hash_combine(stream, 2 * t + 1));
     if (t != 0) scratch.weights_mut(0) = snapshot;  // full per-trial restore
-    injector.inject(scratch.weights_mut(0), ber, inject_rng, sanitize);
+    injector.freeze(ber).inject(scratch.weights_mut(0), inject_rng,
+                                sanitize);
     const std::uint64_t eval_stream = eval_rng.next_u64();
     std::size_t n_correct = 0;
     for (std::size_t i = 0; i < test.size(); ++i) {

@@ -53,9 +53,9 @@ double evaluate_corrupted(const snn::Network& net,
         // delta injection replaces the full per-trial snapshot restore.
         // The InferenceState (membrane/encoder scratch) is likewise built
         // once per worker and reused across trials. The copy carries the
-        // configured inference engine (dense/event/event-fx) along, so the
-        // whole Monte-Carlo fan-out runs whichever kernel the
-        // PipelineConfig selected.
+        // configured accumulation (event/event-fx) along, so the whole
+        // Monte-Carlo fan-out runs whichever kernel the PipelineConfig
+        // selected.
         snn::Network scratch = net;
         scratch.sync_transpose();
         snn::InferenceState state(scratch);
@@ -181,12 +181,15 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   const double target = baseline.clean_accuracy - cfg.accuracy_bound;
   const error::SanitizeRange sanitize{baseline.net.config().stdp.w_min,
                                       cfg.weight_clip};
-  const auto inject_all = [&](snn::Network& net, double rate, Rng& r) {
+  // A stage injects at one BER, so each layer's candidate prefix is frozen
+  // once per stage and reused by every epoch and the calibration pass.
+  std::vector<error::FrozenInjection> frozen(n_layers);
+  const auto inject_all = [&](snn::Network& net, Rng& r) {
     // Layers draw serially from the caller's generator, input side first —
     // for a single-layer stack exactly one inject call.
     for (std::size_t l = 0; l < n_layers; ++l)
       if (injectors[l] != nullptr)
-        injectors[l]->inject(net.weights_mut(l), rate, r, sanitize);
+        frozen[l].inject(net.weights_mut(l), r, sanitize);
   };
 
   // model_temp starts as a copy of the baseline (Algorithm 1 line 1).
@@ -194,11 +197,13 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   FaultAwareResult result{baseline, 0.0, false, {}};
 
   for (const double rate : cfg.ber_stages) {
+    for (std::size_t l = 0; l < n_layers; ++l)
+      if (injectors[l] != nullptr) frozen[l] = injectors[l]->freeze(rate);
     for (std::size_t e = 0; e < cfg.epochs_per_stage; ++e) {
       // Error generation + injection into the stored weights (lines 3-4):
       // the training epoch then runs on the corrupted weights, and STDP
       // re-routes weight mass away from unreliable cells — in every layer.
-      inject_all(model_temp.net, rate, rng);
+      inject_all(model_temp.net, rng);
       snn::train_epoch(model_temp.net, train, rng);
     }
     // Re-label (receptive fields move during retraining). When configured,
@@ -209,7 +214,7 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
       std::vector<std::vector<float>> snapshots(n_layers);
       for (std::size_t l = 0; l < n_layers; ++l)
         if (injectors[l] != nullptr) snapshots[l] = model_temp.net.weights(l);
-      inject_all(model_temp.net, rate, rng);
+      inject_all(model_temp.net, rng);
       model_temp.labels = snn::label_neurons(model_temp.net, train, rng);
       for (std::size_t l = 0; l < n_layers; ++l)
         if (injectors[l] != nullptr)

@@ -137,11 +137,12 @@ struct EccScrubTotals {
 
 /// Algorithm 1: improves the baseline model's error tolerance and records
 /// the largest stage BER whose accuracy meets
-/// (baseline.clean_accuracy - cfg.accuracy_bound). Every stage injects each
-/// layer's weights through its own injector (layers in order, all drawing
-/// serially from `rng`) before the retraining epoch, so STDP learns around
-/// the weak cells of EVERY layer's DRAM region. The injectors must be built
-/// over the training-time (baseline) placement.
+/// (baseline.clean_accuracy - cfg.accuracy_bound). Every stage freezes each
+/// layer's injector at the stage BER and injects through those tables
+/// (layers in order, all drawing serially from `rng`) before each
+/// retraining epoch, so STDP learns around the weak cells of EVERY layer's
+/// DRAM region. The injectors must be built over the training-time
+/// (baseline) placement.
 [[nodiscard]] FaultAwareResult improve_error_tolerance(
     const snn::TrainedModel& baseline, const FaultTrainingConfig& cfg,
     const LayerInjectors& injectors, const data::Dataset& train,

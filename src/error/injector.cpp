@@ -201,72 +201,47 @@ void revert_flips(std::vector<float>& weights,
     weights[it->word] = it->before;
 }
 
-template <typename FlipDecision>
-std::size_t ErrorInjector::inject_floats(std::vector<float>& weights,
-                                         double ber,
-                                         const SanitizeRange& sanitize,
-                                         FlipDecision&& decide,
-                                         std::vector<WeightFlip>* flips) const {
+std::span<const ErrorInjector::Candidate> ErrorInjector::weak_prefix(
+    double ber) const {
   SPARKXD_REQUIRE(ber <= max_ber_ + 1e-15,
-                  "injection BER exceeds the enumerated maximum");
-  SPARKXD_REQUIRE(weights.size() * sizeof(float) >= n_payload_bytes_,
-                  "weight array smaller than the mapped payload");
+                  "BER exceeds the injector's enumerated maximum");
   const double threshold = 2.0 * ber;
-  std::size_t n_flips = 0;
-  for (const auto& c : candidates_) {
-    if (c.score >= threshold) break;  // sorted: all further are not weak
-    const std::size_t w_idx = c.byte_index / sizeof(float);
-    // Little-endian byte order: byte k of the float holds u32 bits 8k..8k+7.
-    const unsigned bit32 =
-        (c.byte_index % sizeof(float)) * 8 + c.bit;
-    float& w = weights[w_idx];
-    if (!decide(test_bit(float_to_bits(w), bit32))) continue;
-    if (flips != nullptr)
-      flips->push_back({static_cast<std::uint32_t>(w_idx), w});
-    w = flip_float_bit(w, bit32);
-    sanitize_weight(w, sanitize);
-    ++n_flips;
-  }
-  return n_flips;
-}
-
-std::size_t ErrorInjector::inject(std::vector<float>& weights, double ber,
-                                  Rng& rng, const SanitizeRange& sanitize,
-                                  std::vector<WeightFlip>* flips) const {
-  return inject_floats(
-      weights, ber, sanitize,
-      [&](bool bit_value) {
-        double p = kWeakCellFailProb;
-        if (spec_.kind == ErrorModelKind::kModel3DataDependent)
-          p = bit_value ? spec_.p1 : spec_.p0;
-        return rng.bernoulli(p);
-      },
-      flips);
+  // Sorted by score, so the weak candidates are exactly the leading run.
+  const auto end = std::partition_point(
+      candidates_.begin(), candidates_.end(),
+      [threshold](const Candidate& c) { return c.score < threshold; });
+  return {candidates_.begin(), end};
 }
 
 std::size_t ErrorInjector::inject_all_weak(
     std::vector<float>& weights, double ber,
     const SanitizeRange& sanitize) const {
-  return inject_floats(weights, ber, sanitize, [](bool) { return true; });
+  const FrozenInjection table = freeze(ber);
+  SPARKXD_REQUIRE(weights.size() * sizeof(float) >= n_payload_bytes_,
+                  "weight array smaller than the mapped payload");
+  for (const auto& e : table.entries()) {
+    float& w = weights[e.word];
+    w = flip_float_bit(w, e.bit);
+    sanitize_weight(w, sanitize);
+  }
+  return table.size();
 }
 
 FrozenInjection ErrorInjector::freeze(double ber) const {
-  SPARKXD_REQUIRE(ber <= max_ber_ + 1e-15,
-                  "frozen BER exceeds the enumerated maximum");
+  const auto weak = weak_prefix(ber);
   FrozenInjection f;
   f.ber_ = ber;
   f.p0_ = spec_.p0;
   f.p1_ = spec_.p1;
   f.data_dependent_ = spec_.kind == ErrorModelKind::kModel3DataDependent;
   f.n_payload_bytes_ = n_payload_bytes_;
-  const double threshold = 2.0 * ber;
-  for (const auto& c : candidates_) {
-    if (c.score >= threshold) break;  // sorted prefix, same as inject()
+  f.entries_.reserve(weak.size());
+  // Little-endian byte order: byte k of the float holds u32 bits 8k..8k+7.
+  for (const auto& c : weak)
     f.entries_.push_back(
         {static_cast<std::uint32_t>(c.byte_index / sizeof(float)),
          static_cast<std::uint8_t>((c.byte_index % sizeof(float)) * 8 +
                                    c.bit)});
-  }
   return f;
 }
 
@@ -318,14 +293,11 @@ std::size_t FrozenInjection::inject(std::vector<float>& weights, Rng& rng,
 std::size_t ErrorInjector::inject_bytes(std::uint8_t* data,
                                         std::size_t n_bytes, double ber,
                                         Rng& rng) const {
-  SPARKXD_REQUIRE(ber <= max_ber_ + 1e-15,
-                  "injection BER exceeds the enumerated maximum");
+  const auto weak = weak_prefix(ber);
   SPARKXD_REQUIRE(n_bytes >= n_payload_bytes_,
                   "byte array smaller than the mapped payload");
-  const double threshold = 2.0 * ber;
   std::size_t flips = 0;
-  for (const auto& c : candidates_) {
-    if (c.score >= threshold) break;
+  for (const auto& c : weak) {
     std::uint8_t& byte = data[c.byte_index];
     double p = kWeakCellFailProb;
     if (spec_.kind == ErrorModelKind::kModel3DataDependent)
@@ -338,15 +310,10 @@ std::size_t ErrorInjector::inject_bytes(std::uint8_t* data,
 }
 
 double ErrorInjector::expected_flips(double ber) const {
-  const double threshold = 2.0 * ber;
-  double e = 0.0;
-  for (const auto& c : candidates_) {
-    if (c.score >= threshold) break;
-    e += spec_.kind == ErrorModelKind::kModel3DataDependent
-             ? 0.5 * (spec_.p0 + spec_.p1)
-             : kWeakCellFailProb;
-  }
-  return e;
+  const double p = spec_.kind == ErrorModelKind::kModel3DataDependent
+                       ? 0.5 * (spec_.p0 + spec_.p1)
+                       : kWeakCellFailProb;
+  return static_cast<double>(weak_prefix(ber).size()) * p;
 }
 
 }  // namespace sparkxd::error

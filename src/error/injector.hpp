@@ -29,19 +29,22 @@
 // cells use, so both axes share one injection path.
 //
 // The injector is representation-agnostic: weak cells are enumerated at
-// byte granularity, so the same machinery corrupts FP32 weights
-// (inject / inject_all_weak) and quantized int8 weights or any other byte
-// payload (inject_bytes). It is also layer-agnostic: a deep SNN stack
-// builds ONE injector per layer, each over that layer's (disjoint)
-// placement with the SAME seed — the module has one weak-cell reality,
-// hashed per physical cell, so per-layer injectors corrupt exactly the
-// cells a whole-module injector would. core::evaluate_corrupted's
-// LayerInjectors overload documents the per-layer Rng stream discipline. For performance, candidates are pre-enumerated
-// once per placement up to a maximum BER (concurrently across chunks — the
-// enumeration is stateless hashing, see common/parallel); injecting at any
-// lower BER is a linear pass over that (small) candidate list.
+// byte granularity, so the same machinery corrupts FP32 weights (freeze ->
+// FrozenInjection::inject, the one FP32 injection path) and quantized int8
+// weights or any other byte payload (inject_bytes). It is also
+// layer-agnostic: a deep SNN stack builds ONE injector per layer, each over
+// that layer's (disjoint) placement with the SAME seed — the module has one
+// weak-cell reality, hashed per physical cell, so per-layer injectors
+// corrupt exactly the cells a whole-module injector would.
+// core::evaluate_corrupted's LayerInjectors overload documents the
+// per-layer Rng stream discipline. For performance, candidates are
+// pre-enumerated once per placement up to a maximum BER (concurrently
+// across chunks — the enumeration is stateless hashing, see
+// common/parallel) and sorted by score; the cells weak at any lower BER are
+// a prefix of that list.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -98,12 +101,10 @@ void revert_flips(std::vector<float>& weights,
 /// Read-only injection plan frozen for one (injector, BER) pair: the prefix
 /// of the injector's score-sorted candidate list that is weak at the frozen
 /// BER, with each candidate's FP32 word index and bit-within-word
-/// precomputed. Build it once (ErrorInjector::freeze) and share it const
-/// across all Monte-Carlo trials and sweep workers — injection through the
-/// table skips the per-call threshold comparisons and byte->word arithmetic
-/// of ErrorInjector::inject while consuming the SAME Rng stream and flipping
-/// the SAME bits, so results are bit-identical by construction
-/// (tests/error_test.cpp locks this down).
+/// precomputed. This is the only FP32 injection path: build it once
+/// (ErrorInjector::freeze) and share it const across all Monte-Carlo trials,
+/// training epochs and sweep workers. tests/error_test.cpp pins its flip
+/// counts, resulting weight bits and Rng consumption with known answers.
 class FrozenInjection {
  public:
   struct Entry {
@@ -113,11 +114,12 @@ class FrozenInjection {
     friend bool operator==(const Entry&, const Entry&) = default;
   };
 
-  /// One corrupted "read" of `weights` at the frozen BER. Identical flip
-  /// decisions and Rng consumption as ErrorInjector::inject(weights,
-  /// ber(), rng, sanitize). When `flips` is non-null every flip is appended
-  /// (the vector is NOT cleared) so the caller can revert the delta via
-  /// revert_flips. Returns the number of flipped bits.
+  /// One corrupted "read" of `weights` at the frozen BER: walking the table
+  /// in candidate order, each weak cell fails independently with
+  /// probability 0.5 (Model-3: p1/p0 by the stored bit), one Rng draw per
+  /// entry. When `flips` is non-null every flip is appended (the vector is
+  /// NOT cleared) so the caller can revert the delta via revert_flips.
+  /// Returns the number of flipped bits.
   std::size_t inject(std::vector<float>& weights, Rng& rng,
                      const SanitizeRange& sanitize = {},
                      std::vector<WeightFlip>* flips = nullptr) const;
@@ -182,17 +184,9 @@ class ErrorInjector {
                                    std::size_t n_weights, std::uint64_t seed,
                                    double max_ber);
 
-  /// Flips weak bits of FP32 `weights` for one "read" at module BER `ber`
-  /// (<= max_ber). Each weak cell fails independently with probability 0.5
-  /// (Model-3: p1/p0 by stored value). When `flips` is non-null every flip
-  /// is appended to it (see WeightFlip / revert_flips). Returns the number
-  /// of flipped bits.
-  std::size_t inject(std::vector<float>& weights, double ber, Rng& rng,
-                     const SanitizeRange& sanitize = {},
-                     std::vector<WeightFlip>* flips = nullptr) const;
-
   /// Freezes the candidate-list prefix weak at `ber` (<= max_ber) into a
-  /// shareable read-only injection plan; see FrozenInjection.
+  /// shareable read-only injection plan; see FrozenInjection. FP32 weights
+  /// are corrupted through the returned table.
   [[nodiscard]] FrozenInjection freeze(double ber) const;
 
   /// Deterministic FP32 variant: flips *every* weak cell at `ber` (used by
@@ -220,7 +214,7 @@ class ErrorInjector {
     return retention_candidates_;
   }
 
-  /// Expected number of bit flips per injection at `ber`.
+  /// Expected number of bit flips per injection at `ber` (<= max_ber).
   [[nodiscard]] double expected_flips(double ber) const;
 
   [[nodiscard]] double max_ber() const noexcept { return max_ber_; }
@@ -240,12 +234,10 @@ class ErrorInjector {
   /// front of the candidate list).
   static constexpr double kRetentionScore = -1.0;
 
-  /// Shared core of the FP32 paths.
-  template <typename FlipDecision>
-  std::size_t inject_floats(std::vector<float>& weights, double ber,
-                            const SanitizeRange& sanitize,
-                            FlipDecision&& decide,
-                            std::vector<WeightFlip>* flips = nullptr) const;
+  /// The candidates weak at `ber`: the leading run of the score-sorted
+  /// list with score < 2*ber. Every BER-taking member goes through here, so
+  /// this is the one place that enforces ber <= max_ber.
+  [[nodiscard]] std::span<const Candidate> weak_prefix(double ber) const;
 
   std::vector<Candidate> candidates_;  ///< sorted ascending by score
   std::size_t retention_candidates_ = 0;

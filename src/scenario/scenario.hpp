@@ -61,10 +61,10 @@ struct Scenario {
   std::vector<double> voltages = {1.325, 1.250, 1.175, 1.100, 1.025};
   std::uint64_t seed = 42;
   /// Inference engine for every evaluation pass (training is always dense).
-  /// kDense is the bit-exact reference every pre-event golden was produced
-  /// by; kEvent is bitwise-identical to it; kEventFx is numerically
-  /// different (fixed-point drive) and golden-locked separately.
-  snn::EngineKind engine = snn::EngineKind::kDense;
+  /// kEvent, the float kernel, is the default every golden runs; kEventFx
+  /// is numerically different (fixed-point drive) and golden-locked
+  /// separately.
+  snn::EngineKind engine = snn::EngineKind::kEvent;
   /// Per-layer (voltage x refresh x ECC) operating-point search
   /// (core::assign_layer_knobs). Off by default; when on, the report gains
   /// the layer_knobs block and the digest its K<n> lines — knob-free
@@ -85,8 +85,7 @@ struct Scenario {
 /// the refresh/retention axis (nominal cadence and 32x relaxed refresh);
 /// `smoke-digits-ecc` locks down the ECC axis (secded + escalation + scrub
 /// stats in the digest); `smoke-digits-event-fx` locks down the fixed-point
-/// event engine (the float event engine needs no golden of its own — it is
-/// bitwise-identical to dense on all of these).
+/// event engine (every other entry runs the default float kernel).
 inline constexpr std::string_view kGoldenScenarios[] = {
     "smoke-digits-m0",
     "smoke-fashion-salp-m1",

@@ -190,6 +190,29 @@ std::vector<std::uint32_t> Network::process(const std::vector<float>& image,
   return counts;
 }
 
+// The event-driven kernel. Same spike waves, same per-neuron addition
+// order as process(learn=false) — only *provably identity* work is skipped:
+//   - a layer whose input wave is empty while its LIF state sits exactly
+//     at rest (and whose frozen thresholds sit strictly above rest) is
+//     skipped without touching its membrane state. at_rest holds from the
+//     per-sample reset until the layer's first non-empty wave; there is no
+//     mid-sample re-arm because the float decay cannot return v to exact
+//     v_rest within realistic timestep counts (it only gets there by
+//     underflow, thousands of steps out) — checking every step would cost
+//     more than it ever recovers;
+//   - an all-zero image short-circuits the whole sample: the encoder has
+//     no active pixels, so it would draw nothing from the Rng and every
+//     layer would skip every step;
+//   - consecutive pure-decay steps reuse the already-zero current buffer
+//     instead of re-clearing it.
+// The float gather walks the (sorted) event list directly — the identical
+// per-neuron addition order as the dense reference, so the sums are
+// bitwise identical, and the contiguous column loop stays vectorizable.
+// The bitset spike mask backs the fixed-point gather (kEventFx): there
+// the Q47.16 int64 accumulation is order-independent, so the word-wise
+// set-bit walk is the natural event-set traversal. Weights are quantized
+// at read time — no second (stale-prone) quantized copy, delta fault
+// injection keeps working unchanged.
 std::vector<std::uint32_t> Network::infer(InferenceState& state,
                                           const std::vector<float>& image,
                                           Rng& rng) const {
@@ -203,87 +226,26 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
   if (state.generation_ != theta_generation_) state.resync(*this);
   SPARKXD_REQUIRE(state.layers_.size() == layers_.size(),
                   "InferenceState was built for a different network depth");
-  const std::size_t n_layers = layers_.size();
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    SPARKXD_REQUIRE(state.layers_[l].current.size() == layers_[l].n_out,
-                    "InferenceState was built for a different network size");
-    state.layers_[l].lif.reset_dynamics();
-  }
-  state.encoder_.set_image(image);
-
-  std::vector<std::uint32_t> counts(layers_.back().n_out, 0);
-  if (cfg_.engine == EngineKind::kDense)
-    infer_dense(state, rng, counts);
-  else
-    infer_event(state, rng, counts);
-  return counts;
-}
-
-void Network::infer_dense(InferenceState& state, Rng& rng,
-                          std::vector<std::uint32_t>& counts) const {
-  const std::size_t n_layers = layers_.size();
-  for (std::size_t t = 0; t < cfg_.timesteps; ++t) {
-    state.encoder_.step(rng, state.in_spikes_);
-    const std::vector<std::uint32_t>* spikes = &state.in_spikes_;
-    for (std::size_t l = 0; l < n_layers; ++l) {
-      const Layer& lay = layers_[l];
-      auto& slice = state.layers_[l];
-      std::fill(slice.current.begin(), slice.current.end(), 0.0f);
-      if (!spikes->empty()) {
-        const std::size_t nn = lay.n_out;
-        float* cur = slice.current.data();
-        for (const auto i : *spikes) {
-          const float* col = lay.wt.data() + std::size_t{i} * nn;
-          for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
-        }
-      }
-      slice.lif.step(slice.current, slice.out_spikes);
-      if (l + 1 == n_layers)
-        for (const auto s : slice.out_spikes) ++counts[s];
-      spikes = &slice.out_spikes;
-    }
-  }
-}
-
-// Event-driven kernel. Same spike waves, same per-neuron addition order —
-// only *provably identity* work is skipped:
-//   - a layer whose input wave is empty while its LIF state sits exactly at
-//     rest (and whose frozen thresholds sit strictly above rest) is skipped
-//     without touching its membrane state. at_rest holds from the per-sample
-//     reset until the layer's first non-empty wave; there is no mid-sample
-//     re-arm because the float decay cannot return v to exact v_rest within
-//     realistic timestep counts (it only gets there by underflow, thousands
-//     of steps out) — checking every step would cost more than it ever
-//     recovers;
-//   - an all-zero image short-circuits the whole sample: the encoder has no
-//     active pixels, so it would draw nothing from the Rng and every layer
-//     would skip every step;
-//   - consecutive pure-decay steps reuse the already-zero current buffer
-//     instead of re-clearing it.
-// The float gather walks the (sorted) event list directly — the identical
-// per-neuron addition order as the dense kernel, so the sums are bitwise
-// identical, and the contiguous column loop stays vectorizable. The bitset
-// spike mask backs the fixed-point gather (kEventFx): there the Q47.16
-// int64 accumulation is order-independent, so the word-wise set-bit walk is
-// the natural event-set traversal. Weights are quantized at read time —
-// no second (stale-prone) quantized copy, delta fault injection keeps
-// working unchanged.
-void Network::infer_event(InferenceState& state, Rng& rng,
-                          std::vector<std::uint32_t>& counts) const {
   const bool fx = cfg_.engine == EngineKind::kEventFx;
   const std::size_t n_layers = layers_.size();
-
   bool all_skip_ok = true;
-  for (auto& slice : state.layers_) {
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    auto& slice = state.layers_[l];
+    SPARKXD_REQUIRE(slice.current.size() == layers_[l].n_out,
+                    "InferenceState was built for a different network size");
+    slice.lif.reset_dynamics();
     slice.skip_ok = slice.lif.silent_at_rest();
     slice.at_rest = true;  // reset_dynamics just put the LIF at exact rest
     std::fill(slice.current.begin(), slice.current.end(), 0.0f);
     slice.current_zero = true;
     all_skip_ok &= slice.skip_ok;
   }
+  state.encoder_.set_image(image);
+
+  std::vector<std::uint32_t> counts(layers_.back().n_out, 0);
   // Whole-sample short-circuit: no active pixels means zero Rng draws per
   // step, so skipping all timesteps consumes the exact same stream.
-  if (state.encoder_.active_pixels() == 0 && all_skip_ok) return;
+  if (state.encoder_.active_pixels() == 0 && all_skip_ok) return counts;
 
   for (std::size_t t = 0; t < cfg_.timesteps; ++t) {
     state.encoder_.step(rng, state.in_spikes_);
@@ -350,6 +312,7 @@ void Network::infer_event(InferenceState& state, Rng& rng,
       spikes = &slice.out_spikes;
     }
   }
+  return counts;
 }
 
 }  // namespace sparkxd::snn

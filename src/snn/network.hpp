@@ -68,7 +68,7 @@ class InferenceState {
     LifLayer lif;
     std::vector<float> current;
     std::vector<std::uint32_t> out_spikes;
-    // ---- Event-engine scratch (sized by resync; dense path ignores). ----
+    // ---- Event-kernel scratch (sized by resync). ------------------------
     std::vector<std::uint64_t> in_mask;  ///< bitset over the layer's inputs
     std::vector<std::int64_t> acc;       ///< Q47.16 accumulator (fx mode)
     bool skip_ok = false;  ///< zero-input step provably identity at rest
@@ -162,8 +162,9 @@ class Network {
     return theta_generation_;
   }
 
-  /// Selects the inference engine for infer() (see EngineKind). Training
-  /// (process with learn=true) always runs the dense row-major kernel.
+  /// Selects the inference engine for infer() (see EngineKind). process()
+  /// always runs the dense kernel: row-major when learning, the transposed
+  /// gather otherwise.
   void set_engine(EngineKind engine) noexcept { cfg_.engine = engine; }
   [[nodiscard]] EngineKind engine() const noexcept { return cfg_.engine; }
 
@@ -176,24 +177,24 @@ class Network {
   /// layer's per-neuron spike counts. With learn=true, STDP and threshold
   /// adaptation are active on every layer and all weight rows are
   /// re-normalized afterwards; with learn=false the network is a pure
-  /// inference engine (weights and thetas untouched). `rng` drives the
-  /// Poisson spike trains (the only stochastic part — hidden layers are
-  /// deterministic given their input spikes).
+  /// inference engine (weights and thetas untouched) that integrates every
+  /// layer on every timestep — the dense reference infer() is checked
+  /// against. `rng` drives the Poisson spike trains (the only stochastic
+  /// part — hidden layers are deterministic given their input spikes).
   std::vector<std::uint32_t> process(const std::vector<float>& image,
                                      bool learn, Rng& rng);
 
-  /// Pure inference through a caller-owned InferenceState: identical spike
-  /// counts and Rng consumption as process(image, /*learn=*/false, rng), but
-  /// const on the network and reusing the state's buffers — the per-trial /
-  /// per-worker hot path. Requires synced transposes. Resyncs the state
-  /// first if the network's theta generation moved past its snapshot.
+  /// Pure inference through a caller-owned InferenceState, const on the
+  /// network and reusing the state's buffers — the per-trial / per-worker
+  /// hot path. Requires synced transposes. Resyncs the state first if the
+  /// network's theta generation moved past its snapshot.
   ///
-  /// config().engine picks the kernel: kDense is the transposed-gather
-  /// reference; kEvent walks per-timestep bitset spike masks and skips
-  /// empty waves against at-rest layers outright (bitwise-identical counts
-  /// and Rng consumption to kDense); kEventFx additionally accumulates the
-  /// synaptic drive in Q47.16 fixed point (order-independent, numerically
-  /// different from the float paths).
+  /// Runs the event kernel: per-timestep spike lists gather over the
+  /// transposed weights, and empty waves into at-rest layers are skipped
+  /// outright. config().engine picks the accumulation: kEvent sums in float
+  /// (identical spike counts and Rng consumption to process(image,
+  /// /*learn=*/false, rng)); kEventFx sums the synaptic drive in Q47.16
+  /// fixed point (order-independent, numerically different from float).
   std::vector<std::uint32_t> infer(InferenceState& state,
                                    const std::vector<float>& image,
                                    Rng& rng) const;
@@ -232,12 +233,6 @@ class Network {
     SPARKXD_REQUIRE(l < layers_.size(), "layer index out of range");
     return layers_[l];
   }
-
-  /// The two infer() kernels (common setup/validation lives in infer()).
-  void infer_dense(InferenceState& state, Rng& rng,
-                   std::vector<std::uint32_t>& counts) const;
-  void infer_event(InferenceState& state, Rng& rng,
-                   std::vector<std::uint32_t>& counts) const;
 
   NetworkConfig cfg_;
   std::vector<Layer> layers_;  ///< [0] = input side, back() = output layer

@@ -20,33 +20,29 @@ namespace sparkxd::snn {
 /// Inference-engine selector for Network::infer (training always runs the
 /// row-major kernel — STDP rewrites weight rows mid-sample).
 ///
-///   kDense    the transposed-gather reference: every timestep integrates
-///             every layer. Bit-exact baseline; every pre-event golden
-///             digest was produced by this path.
-///   kEvent    event-driven: per-timestep spike waves carry a bitset mask
-///             next to the event list, the synaptic gather walks only the
-///             mask's set words, and a layer whose input wave is empty
-///             while its membrane state sits exactly at rest is skipped
-///             outright (no LIF integration). Bitwise-identical spike
-///             counts to kDense — skipping is only applied where a step is
-///             provably the identity, and the per-neuron float addition
-///             order is unchanged.
-///   kEventFx  the event engine with fixed-point synaptic accumulation:
-///             the gather quantizes weights to Q47.16 on the fly and sums
-///             in int64, making the per-neuron drive independent of
-///             addition order. Numerically different from the float path
+///   kEvent    the float kernel (default): the synaptic gather walks each
+///             timestep's sorted spike list over the transposed weights,
+///             and a layer whose input wave is empty while its membrane
+///             state sits exactly at rest is skipped outright (no LIF
+///             integration). Bitwise-identical spike counts and Rng
+///             consumption to the dense reference Network::process(image,
+///             /*learn=*/false, rng) — skipping is only applied where a
+///             step is provably the identity, and the per-neuron float
+///             addition order is unchanged.
+///   kEventFx  the event kernel with fixed-point synaptic accumulation:
+///             each wave is turned into a bitset mask, the gather walks the
+///             mask's set words, quantizes weights to Q47.16 on the fly and
+///             sums in int64, making the per-neuron drive independent of
+///             addition order. Numerically different from the float kernel
 ///             (locked by its own golden, smoke-digits-event-fx).
 enum class EngineKind : std::uint8_t {
-  kDense = 0,
-  kEvent = 1,
-  kEventFx = 2,
+  kEvent,
+  kEventFx,
 };
 
-/// Stable axis label: "dense", "event", "event-fx".
+/// Stable axis label: "event", "event-fx".
 [[nodiscard]] constexpr const char* to_string(EngineKind kind) noexcept {
   switch (kind) {
-    case EngineKind::kDense:
-      return "dense";
     case EngineKind::kEvent:
       return "event";
     case EngineKind::kEventFx:
@@ -135,9 +131,8 @@ struct NetworkConfig {
   std::uint64_t seed = 1;  ///< weight-init / spike-train seed
   /// Inference kernel for Network::infer (see EngineKind). Not part of the
   /// serialized model (model_io writes config fields individually): the
-  /// engine is a runtime execution choice, not model identity — kDense and
-  /// kEvent produce bitwise-identical results from the same weights.
-  EngineKind engine = EngineKind::kDense;
+  /// engine is a runtime execution choice, not model identity.
+  EngineKind engine = EngineKind::kEvent;
   LifParams lif;
   StdpParams stdp;
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include <netinet/in.h>
@@ -93,6 +94,33 @@ TEST(CliTest, EccOverrideRenamesAndShowsInList) {
   EXPECT_NE(r.output.find("smoke-digits-m0-ecc-bch4096b"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("[ecc override]"), std::string::npos) << r.output;
+}
+
+TEST(CliTest, BadEngineSpecExitsTwoNamingTheEngines) {
+  // The float kernel is "event"; "dense" names no engine.
+  for (const char* bad : {"dense", "bogus"}) {
+    const auto r =
+        run_cli(std::string("--scenario smoke-digits-m0 --engine ") + bad);
+    EXPECT_EQ(r.exit_code, 2) << "--engine " << bad;
+    EXPECT_NE(r.output.find("--engine wants event or event-fx"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+TEST(CliTest, EngineOverrideRenamesEveryListedScenario) {
+  const auto r = run_cli("--engine event-fx --list");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::istringstream lines(r.output);
+  std::string line;
+  std::getline(lines, line);  // column header
+  std::size_t listed = 0;
+  while (std::getline(lines, line)) {
+    const std::string name = line.substr(0, line.find(' '));
+    EXPECT_TRUE(name.ends_with("-eng-event-fx")) << line;
+    ++listed;
+  }
+  EXPECT_GT(listed, 0u);
 }
 
 TEST(CliTest, UnknownOptionExitsTwo) {

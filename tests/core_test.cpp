@@ -104,8 +104,8 @@ TEST_F(FaultAwareFixture, HighBerDegradesBaseline) {
 TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
   // The optimized Monte-Carlo path (frozen candidate table + delta-revert +
   // reused inference scratch) against the pre-optimization reference loop:
-  // full snapshot restore per trial + per-call candidate scan + a fresh
-  // evaluation each time. Stream derivation is the documented contract
+  // full snapshot restore per trial + a per-trial candidate freeze + a
+  // fresh evaluation each time. Stream derivation is the documented contract
   // (stream = rng.next_u64(); trial t draws hash_combine(stream, 2t) /
   // (2t+1)), so the means must agree bit for bit.
   const std::size_t trials = 3;
@@ -125,8 +125,8 @@ TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
     Rng inject_rng(hash_combine(stream, 2 * t));
     Rng eval_rng(hash_combine(stream, 2 * t + 1));
     if (t != 0) scratch.weights_mut(0) = snapshot;
-    state->injector->inject(scratch.weights_mut(0), ber, inject_rng,
-                            sanitize);
+    state->injector->freeze(ber).inject(scratch.weights_mut(0), inject_rng,
+                                        sanitize);
     sum += snn::evaluate(scratch, state->baseline->labels, state->test,
                          eval_rng);
   }

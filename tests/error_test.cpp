@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
@@ -113,7 +116,7 @@ TEST(Injector, ExpectedFlipRateMatchesBer) {
   const int trials = 5;
   for (int t = 0; t < trials; ++t) {
     auto w = f.weights;
-    total += static_cast<double>(inj.inject(w, ber, rng));
+    total += static_cast<double>(inj.freeze(ber).inject(w, rng));
   }
   const double measured = total / trials;
   EXPECT_NEAR(measured / expected, 1.0, 0.1);
@@ -198,7 +201,7 @@ TEST(Injector, ZeroBerNeverFlips) {
                           1e-3);
   Rng rng(1);
   auto w = f.weights;
-  EXPECT_EQ(inj.inject(w, 0.0, rng), 0u);
+  EXPECT_EQ(inj.freeze(0.0).inject(w, rng), 0u);
   EXPECT_EQ(w, f.weights);
 }
 
@@ -208,7 +211,7 @@ TEST(Injector, SanitizeClampsCorruptedValues) {
                           1e-3);
   Rng rng(1);
   auto w = f.weights;
-  (void)inj.inject(w, 1e-3, rng, {0.0f, 0.4f});
+  (void)inj.freeze(1e-3).inject(w, rng, {0.0f, 0.4f});
   for (const float v : w) {
     EXPECT_GE(v, 0.0f);
     EXPECT_LE(v, 0.4f);
@@ -222,7 +225,22 @@ TEST(Injector, RejectsBerAboveMax) {
                           1e-5);
   Rng rng(1);
   auto w = f.weights;
-  EXPECT_THROW((void)inj.inject(w, 1e-3, rng), ContractViolation);
+  std::vector<std::uint8_t> bytes(f.n_weights * sizeof(float));
+  EXPECT_THROW((void)inj.freeze(1e-3), ContractViolation);
+  EXPECT_THROW((void)inj.inject_all_weak(w, 1e-3), ContractViolation);
+  EXPECT_THROW((void)inj.inject_bytes(bytes.data(), bytes.size(), 1e-3, rng),
+               ContractViolation);
+}
+
+TEST(Injector, ExpectedFlipsRejectsBerAboveMax) {
+  // Candidates exist only up to max_ber, so an expectation above it would
+  // silently report the max_ber value; it must fail like every other
+  // BER-taking member instead.
+  InjectorFixture f;
+  const auto inj = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement,
+                                              f.n_weights, 42, 1e-5);
+  EXPECT_GT(inj.expected_flips(1e-5), 0.0);
+  EXPECT_THROW((void)inj.expected_flips(1e-3), ContractViolation);
 }
 
 TEST(Injector, RejectsUndersizedPlacement) {
@@ -243,7 +261,7 @@ TEST(Injector, FlipProbabilityIsHalfForWeakCells) {
   double sum = 0.0;
   for (int t = 0; t < 10; ++t) {
     auto w = f.weights;
-    sum += static_cast<double>(inj.inject(w, 1e-3, rng));
+    sum += static_cast<double>(inj.freeze(1e-3).inject(w, rng));
   }
   EXPECT_NEAR(sum / 10.0 / static_cast<double>(all), kWeakCellFailProb, 0.05);
 }
@@ -261,7 +279,7 @@ TEST_P(ModelKinds, AllModelsProduceExpectedOrderOfFlips) {
                           ber);
   Rng rng(3);
   auto w = f.weights;
-  const auto flips = inj.inject(w, ber, rng);
+  const auto flips = inj.freeze(ber).inject(w, rng);
   const auto bits = static_cast<double>(f.n_weights) * 32.0;
   EXPECT_GT(flips, bits * ber * 0.05);
   EXPECT_LT(flips, bits * ber * 20.0);
@@ -337,8 +355,9 @@ TEST(ErrorModels, Model3PrefersSetBits) {
   // No sanitization (lo=-inf style range wide enough): use a huge range so
   // flips are counted, not clamped away.
   const SanitizeRange wide{-3.4e38f, 3.4e38f};
-  const auto flips_ones = inj.inject(ones, 1e-3, rng, wide);
-  const auto flips_zeros = inj.inject(zeros, 1e-3, rng, wide);
+  const auto frozen = inj.freeze(1e-3);
+  const auto flips_ones = frozen.inject(ones, rng, wide);
+  const auto flips_zeros = frozen.inject(zeros, rng, wide);
   EXPECT_GT(flips_ones, flips_zeros * 5);
 }
 
@@ -351,7 +370,7 @@ TEST(DeltaInjection, RevertRestoresWeightsBitwise) {
   Rng rng(11);
   auto w = f.weights;
   std::vector<WeightFlip> log;
-  const auto flips = inj.inject(w, 1e-3, rng, {0.0f, 0.4f}, &log);
+  const auto flips = inj.freeze(1e-3).inject(w, rng, {0.0f, 0.4f}, &log);
   ASSERT_GT(flips, 0u);
   EXPECT_EQ(flips, log.size());
   EXPECT_NE(w, f.weights);
@@ -366,34 +385,67 @@ TEST(DeltaInjection, LoggingDoesNotChangeTheInjection) {
   Rng a(12), b(12);
   auto wa = f.weights, wb = f.weights;
   std::vector<WeightFlip> log;
-  const auto na = inj.inject(wa, 1e-3, a);
-  const auto nb = inj.inject(wb, 1e-3, b, {}, &log);
+  const auto frozen = inj.freeze(1e-3);
+  const auto na = frozen.inject(wa, a);
+  const auto nb = frozen.inject(wb, b, {}, &log);
   EXPECT_EQ(na, nb);
   EXPECT_EQ(wa, wb);
 }
 
-TEST(FrozenInjection_, MatchesLegacyInjectBitwise) {
-  // The frozen table must replay the exact legacy behaviour at its BER:
-  // same flips, same resulting weights, same Rng consumption (the streams
-  // must stay aligned for bit-identical Monte-Carlo trials).
+/// FNV-1a over the little-endian bytes of every weight's bit pattern.
+std::uint64_t weight_bits_hash(const std::vector<float>& w) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float v : w) {
+    const std::uint32_t bits = float_to_bits(v);
+    for (unsigned k = 0; k < 4; ++k) {
+      h ^= (bits >> (8 * k)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+/// One injection's full observable outcome: the flip count, the resulting
+/// weight bits, and the injection Rng's next draw (its stream position —
+/// Monte-Carlo trials stay bit-identical only while streams stay aligned).
+struct KnownAnswer {
+  std::size_t flips;
+  std::uint64_t weights_hash;
+  std::uint64_t next_draw;
+};
+
+/// Injects `frozen` into a copy of the fixture weights from Rng(seed) and
+/// checks the outcome against `want`. The known answers below were computed
+/// with the per-call candidate scan that the frozen table replaced, on this
+/// fixture with these seeds and sanitize ranges.
+void expect_known_answer(const FrozenInjection& frozen,
+                         std::vector<float> weights, std::uint64_t seed,
+                         const SanitizeRange& sanitize,
+                         const KnownAnswer& want) {
+  Rng rng(seed);
+  EXPECT_EQ(frozen.inject(weights, rng, sanitize), want.flips);
+  EXPECT_EQ(weight_bits_hash(weights), want.weights_hash);
+  EXPECT_EQ(rng.next_u64(), want.next_draw) << "Rng stream position moved";
+}
+
+TEST(FrozenInjection_, Model0KnownAnswers) {
   InjectorFixture f;
   const auto inj = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement,
                                               f.n_weights, 42, 1e-3);
-  for (const double ber : {1e-5, 1e-4, 1e-3}) {
-    const auto frozen = inj.freeze(ber);
-    Rng a(13), b(13);
-    auto wa = f.weights, wb = f.weights;
-    const auto na = inj.inject(wa, ber, a, {0.0f, 0.4f});
-    const auto nb = frozen.inject(wb, b, {0.0f, 0.4f});
-    EXPECT_EQ(na, nb) << "ber " << ber;
-    EXPECT_EQ(wa, wb) << "ber " << ber;
-    EXPECT_EQ(a.next_u64(), b.next_u64()) << "Rng streams diverged";
+  const std::pair<double, KnownAnswer> cases[] = {
+      {1e-5, {31, 0x6160d3709c013396ULL, 0x06442abab71b6dd0ULL}},
+      {1e-4, {301, 0xe8e0464b62fdcddeULL, 0x9d2fefb78c8dea8cULL}},
+      {1e-3, {2974, 0x107f36f128294ba7ULL, 0x2ee1dbe1f2f73502ULL}},
+  };
+  for (const auto& [ber, want] : cases) {
+    SCOPED_TRACE(ber);
+    expect_known_answer(inj.freeze(ber), f.weights, 13, {0.0f, 0.4f}, want);
   }
 }
 
-TEST(FrozenInjection_, Model3MatchesLegacyInjectBitwise) {
-  // Model-3 decides per stored bit value, so the frozen path must read the
-  // same current bits in the same order.
+TEST(FrozenInjection_, Model3KnownAnswer) {
+  // Model-3 decides per stored bit value, so the table must read the
+  // current bits in candidate order.
   InjectorFixture f;
   ErrorModelSpec spec;
   spec.kind = ErrorModelKind::kModel3DataDependent;
@@ -402,14 +454,8 @@ TEST(FrozenInjection_, Model3MatchesLegacyInjectBitwise) {
   const auto inj = ErrorInjector::for_weights(f.g, f.profile, spec,
                                               f.placement, f.n_weights, 42,
                                               1e-3);
-  const auto frozen = inj.freeze(1e-3);
-  Rng a(14), b(14);
-  auto wa = f.weights, wb = f.weights;
-  const auto na = inj.inject(wa, 1e-3, a, {0.0f, 0.4f});
-  const auto nb = frozen.inject(wb, b, {0.0f, 0.4f});
-  EXPECT_EQ(na, nb);
-  EXPECT_EQ(wa, wb);
-  EXPECT_EQ(a.next_u64(), b.next_u64());
+  expect_known_answer(inj.freeze(1e-3), f.weights, 14, {0.0f, 0.4f},
+                      {3375, 0x878f49ea65ad565eULL, 0x46bd6c0cf5b4e81bULL});
 }
 
 TEST(FrozenInjection_, TablesAreNestedAcrossBer) {
@@ -448,7 +494,7 @@ TEST(FrozenInjection_, DeltaRoundTripThroughTheTable) {
 
 TEST(FrozenInjection_, CarriesRetentionCandidatesAtAnyBer) {
   // Retention-weak cells are below every BER threshold, so a table frozen
-  // at BER 0 still injects them — same composition rule as inject().
+  // at BER 0 still injects them.
   InjectorFixture f;
   ErrorModelSpec spec;
   spec.retention.enabled = true;
@@ -458,11 +504,9 @@ TEST(FrozenInjection_, CarriesRetentionCandidatesAtAnyBer) {
                                               0.0);
   const auto frozen = inj.freeze(0.0);
   EXPECT_EQ(frozen.size(), inj.retention_candidate_count());
-  EXPECT_GT(frozen.size(), 0u);
-  Rng a(16), b(16);
-  auto wa = f.weights, wb = f.weights;
-  EXPECT_EQ(inj.inject(wa, 0.0, a), frozen.inject(wb, b));
-  EXPECT_EQ(wa, wb);
+  EXPECT_EQ(frozen.size(), 875u);
+  expect_known_answer(frozen, f.weights, 16, {},
+                      {449, 0xc15f9d35687abc6bULL, 0x31ff0d1943150026ULL});
 }
 
 // ----------------------------------------------------------------- retention

@@ -1,31 +1,21 @@
-// Differential coverage of the event-driven inference engine.
+// Differential coverage of the event-driven inference kernel.
 //
 // The contract under test: Network::infer with EngineKind::kEvent produces
 // BITWISE-identical spike counts — and consumes the identical Rng stream —
-// as the dense transposed-gather reference, on every input (the skipping
-// logic may only elide provably-identity work). The fixed-point mode
-// (kEventFx) is deterministic and plausible but numerically its own path;
-// it is locked by the smoke-digits-event-fx golden (scenario_test), so here
-// it only gets determinism + sanity assertions.
-//
-// Two levels:
-//   * unit sweeps over Network::infer — random / all-zero / single-pixel /
-//     max-density images, low spike density, deep stacks;
-//   * scenario-level runs of every pre-existing golden scenario with the
-//     event engine at 1 and 8 threads, whose digests must equal the dense
-//     digests byte for byte (modulo the gated "engine=" header line).
+// as the dense reference Network::process(image, /*learn=*/false, rng), on
+// every input (the skipping logic may only elide provably-identity work).
+// The fixed-point mode (kEventFx) is deterministic and plausible but
+// numerically its own path; it is locked by the smoke-digits-event-fx
+// golden (scenario_test), so here it only gets determinism + sanity
+// assertions. Scenario-level coverage is scenario_test's: every golden runs
+// the event kernel at 1 and 8 threads.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
-#include <string>
 #include <vector>
 
-#include "scenario/runner.hpp"
-#include "scenario/scenario.hpp"
 #include "snn/network.hpp"
-#include "test_env_util.hpp"
 
 namespace sparkxd {
 namespace {
@@ -65,32 +55,32 @@ void warm_up(Network& net, std::uint64_t seed) {
   net.sync_transpose();
 }
 
-/// Runs infer twice on copies of the network — once per engine — from the
-/// same Rng seed, and asserts bitwise-equal counts AND an identical stream
-/// position afterwards (one extra draw from each Rng must coincide).
-void expect_engines_bitwise_equal(const Network& net,
-                                  const std::vector<float>& image,
-                                  std::uint64_t rng_seed,
-                                  EngineKind other = EngineKind::kEvent) {
-  Network dense = net;
-  dense.set_engine(EngineKind::kDense);
-  Network event = net;
-  event.set_engine(other);
-  InferenceState dense_state(dense);
-  InferenceState event_state(event);
+/// Runs the dense reference (process with learn=false, on a copy) and the
+/// event kernel from the same Rng seed, and asserts bitwise-equal counts
+/// AND an identical stream position afterwards (one extra draw from each
+/// Rng must coincide).
+void expect_matches_reference(const Network& net,
+                              const std::vector<float>& image,
+                              std::uint64_t rng_seed) {
+  Network reference = net;
+  InferenceState state(net);
   Rng a(rng_seed), b(rng_seed);
-  const auto dense_counts = dense.infer(dense_state, image, a);
-  const auto event_counts = event.infer(event_state, image, b);
-  EXPECT_EQ(dense_counts, event_counts);
+  const auto reference_counts = reference.process(image, /*learn=*/false, a);
+  const auto event_counts = net.infer(state, image, b);
+  EXPECT_EQ(reference_counts, event_counts);
   EXPECT_EQ(a.next_u64(), b.next_u64())
-      << "engines consumed different Rng stream lengths";
+      << "kernels consumed different Rng stream lengths";
+}
+
+TEST(EventEngine, IsTheDefaultEngine) {
+  EXPECT_EQ(Network(base_config()).engine(), EngineKind::kEvent);
 }
 
 TEST(EventEngine, MatchesDenseOnRandomImages) {
   Network net(base_config());
   warm_up(net, 11);
   for (std::uint64_t s = 0; s < 8; ++s)
-    expect_engines_bitwise_equal(
+    expect_matches_reference(
         net, random_image(784, 100 + s, 0.05 + 0.1 * static_cast<double>(s)),
         200 + s);
 }
@@ -100,13 +90,11 @@ TEST(EventEngine, MatchesDenseOnAllZeroImage) {
   Network net(base_config());
   warm_up(net, 12);
   const std::vector<float> black(784, 0.0f);
-  expect_engines_bitwise_equal(net, black, 5);
+  expect_matches_reference(net, black, 5);
 
-  Network event = net;
-  event.set_engine(EngineKind::kEvent);
-  InferenceState state(event);
+  InferenceState state(net);
   Rng rng(5);
-  for (const auto c : event.infer(state, black, rng)) EXPECT_EQ(c, 0u);
+  for (const auto c : net.infer(state, black, rng)) EXPECT_EQ(c, 0u);
 }
 
 TEST(EventEngine, MatchesDenseOnSinglePixelImage) {
@@ -114,13 +102,13 @@ TEST(EventEngine, MatchesDenseOnSinglePixelImage) {
   warm_up(net, 13);
   std::vector<float> img(784, 0.0f);
   img[391] = 1.0f;
-  expect_engines_bitwise_equal(net, img, 6);
+  expect_matches_reference(net, img, 6);
 }
 
 TEST(EventEngine, MatchesDenseOnMaxDensityImage) {
   Network net(base_config());
   warm_up(net, 14);
-  expect_engines_bitwise_equal(net, std::vector<float>(784, 1.0f), 7);
+  expect_matches_reference(net, std::vector<float>(784, 1.0f), 7);
 }
 
 TEST(EventEngine, MatchesDenseAtVeryLowSpikeDensity) {
@@ -131,8 +119,7 @@ TEST(EventEngine, MatchesDenseAtVeryLowSpikeDensity) {
   Network net(cfg);
   warm_up(net, 15);
   for (std::uint64_t s = 0; s < 8; ++s)
-    expect_engines_bitwise_equal(net, random_image(784, 300 + s, 0.03),
-                                 400 + s);
+    expect_matches_reference(net, random_image(784, 300 + s, 0.03), 400 + s);
 }
 
 TEST(EventEngine, MatchesDenseOnDeepStacks) {
@@ -142,23 +129,9 @@ TEST(EventEngine, MatchesDenseOnDeepStacks) {
   cfg.hidden_neurons = {20, 12};
   Network net(cfg);
   warm_up(net, 16);
-  expect_engines_bitwise_equal(net, std::vector<float>(784, 0.0f), 8);
-  expect_engines_bitwise_equal(net, random_image(784, 41, 0.02), 9);
-  expect_engines_bitwise_equal(net, random_image(784, 42, 0.5), 10);
-}
-
-TEST(EventEngine, MatchesProcessLearnFalse) {
-  // The three-way agreement: process(learn=false) == dense infer == event
-  // infer, same counts, same stream.
-  Network net(base_config());
-  warm_up(net, 17);
-  const auto img = random_image(784, 50, 0.3);
-  Rng a(60), b(60);
-  Network event = net;
-  event.set_engine(EngineKind::kEvent);
-  InferenceState state(event);
-  EXPECT_EQ(net.process(img, /*learn=*/false, a), event.infer(state, img, b));
-  EXPECT_EQ(a.next_u64(), b.next_u64());
+  expect_matches_reference(net, std::vector<float>(784, 0.0f), 8);
+  expect_matches_reference(net, random_image(784, 41, 0.02), 9);
+  expect_matches_reference(net, random_image(784, 42, 0.5), 10);
 }
 
 TEST(EventEngine, FixedPointModeIsDeterministicAndSane) {
@@ -172,13 +145,11 @@ TEST(EventEngine, FixedPointModeIsDeterministicAndSane) {
   const auto c2 = net.infer(s2, img, b);
   EXPECT_EQ(c1, c2);
   EXPECT_EQ(a.next_u64(), b.next_u64());
-  // Same stream length as the float engines too (quantization changes
+  // Same stream length as the dense reference too (quantization changes
   // values, never Rng consumption).
-  Network dense = net;
-  dense.set_engine(EngineKind::kDense);
-  InferenceState s3(dense);
+  Network reference = net;
   Rng c(61);
-  (void)dense.infer(s3, img, c);
+  (void)reference.process(img, /*learn=*/false, c);
   (void)c.next_u64();  // `a` is one draw ahead from the comparison above
   EXPECT_EQ(a.next_u64(), c.next_u64());
   // And an all-zero image still short-circuits to silence.
@@ -187,47 +158,6 @@ TEST(EventEngine, FixedPointModeIsDeterministicAndSane) {
   for (const auto n : net.infer(s4, std::vector<float>(784, 0.0f), d))
     EXPECT_EQ(n, 0u);
 }
-
-// ------------------------------------------------- scenario-level sweeps
-
-/// Digest with the gated "engine=..." header line removed, so event-engine
-/// digests can be compared byte for byte against the dense reference.
-std::string strip_engine_line(const std::string& digest) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < digest.size()) {
-    std::size_t end = digest.find('\n', pos);
-    if (end == std::string::npos) end = digest.size();
-    const std::string line = digest.substr(pos, end - pos);
-    if (line.rfind("engine=", 0) != 0) out += line + "\n";
-    pos = end + 1;
-  }
-  return out;
-}
-
-/// Param: index into scenario::kGoldenScenarios.
-class EventVsDenseGolden : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(EventVsDenseGolden, DigestsMatchAtOneAndEightThreads) {
-  const auto* s = scenario::find_scenario(scenario::kGoldenScenarios[GetParam()]);
-  ASSERT_NE(s, nullptr);
-  if (s->engine != EngineKind::kDense)
-    GTEST_SKIP() << "non-dense golden locks its own engine";
-  scenario::Scenario event = *s;
-  event.engine = EngineKind::kEvent;
-  for (const char* threads : {"1", "8"}) {
-    testutil::ThreadsOverride scoped(threads);
-    const auto dense_result = scenario::run_scenarios({*s}).front();
-    const auto event_result = scenario::run_scenarios({event}).front();
-    EXPECT_EQ(scenario::digest(dense_result),
-              strip_engine_line(scenario::digest(event_result)))
-        << s->name << " at " << threads << " thread(s)";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllGoldenScenarios, EventVsDenseGolden,
-    ::testing::Range<std::size_t>(0u, std::size(scenario::kGoldenScenarios)));
 
 }  // namespace
 }  // namespace sparkxd

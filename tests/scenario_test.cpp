@@ -482,7 +482,8 @@ class ThreadInvariance : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ThreadInvariance, JsonAndDigestAreThreadCountInvariant) {
   // Every golden scenario — including both refresh-axis ones — must produce
-  // byte-identical JSON and digests at 1 and 8 threads.
+  // byte-identical JSON and digests at 1 and 8 threads. All of them run the
+  // event kernel (smoke-digits-event-fx in its fixed-point mode).
   const auto* s = find_scenario(kGoldenScenarios[GetParam()]);
   ASSERT_NE(s, nullptr);
   std::string json_1, json_8, digest_1, digest_8;
