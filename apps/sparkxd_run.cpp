@@ -15,7 +15,8 @@
 //
 // --export-artifact additionally captures the serving artifact (trained
 // model + operating point + frozen per-layer injection tables + placement)
-// for sparkxd_serve; it requires exactly one selected scenario.
+// for sparkxd_serve; it requires exactly one selected scenario, and one
+// without ECC (the artifact carries no check words).
 //
 // Exit codes: 0 success, 2 bad usage / unknown scenario.
 
@@ -70,7 +71,8 @@ void print_usage(std::FILE* to) {
       "  --export-artifact FILE\n"
       "                     also save the serving artifact (for\n"
       "                     sparkxd_serve) to FILE; needs exactly one\n"
-      "                     selected scenario\n"
+      "                     selected scenario, without ECC (the artifact\n"
+      "                     carries no check words)\n"
       "  --artifact-voltage V\n"
       "                     capture the artifact at supply voltage V (must\n"
       "                     be on the scenario's grid; default: the lowest)\n"
@@ -449,6 +451,17 @@ int main(int argc, char** argv) {
                  "sparkxd_run: --export-artifact captures one operating "
                  "point and needs exactly one selected scenario (got %zu)\n",
                  selected.size());
+    return 2;
+  }
+  if (!artifact_path.empty() && selected.front().ecc.enabled()) {
+    // The server injects with the clip only; exporting would serve the
+    // weights unprotected while the report scored them with the code.
+    std::fprintf(stderr,
+                 "sparkxd_run: --export-artifact cannot carry ECC: scenario "
+                 "'%s' uses %s, but the artifact stores no check words and "
+                 "the server would run it unprotected (use --ecc off)\n",
+                 selected.front().name.c_str(),
+                 error::make_ecc_scheme(selected.front().ecc)->name().c_str());
     return 2;
   }
 

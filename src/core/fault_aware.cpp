@@ -7,30 +7,37 @@
 
 namespace sparkxd::core {
 
-namespace {
-
-/// Derives the injection Rng for layer `l` of trial substream `inject_seed`
-/// (the documented stream discipline): a single-layer stack consumes the
-/// trial stream directly — bit-identical to the pre-stack code — while a
-/// deep stack forks one substream per layer.
 Rng layer_inject_rng(std::uint64_t inject_seed, std::size_t l,
                      std::size_t n_layers) {
   return n_layers == 1 ? Rng(inject_seed)
                        : Rng(inject_seed).fork(static_cast<std::uint64_t>(l));
 }
 
-}  // namespace
-
 double evaluate_corrupted(const snn::Network& net,
                           const snn::NeuronLabels& labels,
                           const LayerInjectors& injectors, double ber,
                           const data::Dataset& test, Rng& rng,
                           std::size_t trials, float weight_clip) {
+  return evaluate_corrupted_ecc(net, labels, injectors,
+                                LayerEcc(net.n_layers()), ber, test, rng,
+                                trials, weight_clip);
+}
+
+double evaluate_corrupted_ecc(const snn::Network& net,
+                              const snn::NeuronLabels& labels,
+                              const LayerInjectors& injectors,
+                              const LayerEcc& ecc, double ber,
+                              const data::Dataset& test, Rng& rng,
+                              std::size_t trials, float weight_clip,
+                              std::vector<EccScrubTotals>* totals) {
   SPARKXD_REQUIRE(trials >= 1, "need at least one evaluation trial");
   const std::size_t n_layers = net.n_layers();
-  SPARKXD_REQUIRE(injectors.size() == n_layers,
-                  "need one injector slot per network layer");
-  const error::SanitizeRange sanitize{net.config().stdp.w_min, weight_clip};
+  SPARKXD_REQUIRE(injectors.size() == n_layers && ecc.size() == n_layers,
+                  "need one injector and one ecc slot per network layer");
+  for (std::size_t l = 0; l < n_layers; ++l)
+    SPARKXD_REQUIRE(ecc[l].scheme == nullptr || ecc[l].checks != nullptr,
+                    "an ecc-protected layer needs its check words");
+  const error::SanitizeRange clip{net.config().stdp.w_min, weight_clip};
   // One parent draw keys this call's trial substreams: every trial owns an
   // independent Rng pair and every worker a private corruptible weight
   // copy, so trials run concurrently and the mean is bit-identical at any
@@ -46,6 +53,10 @@ double evaluate_corrupted(const snn::Network& net,
   for (std::size_t l = 0; l < n_layers; ++l)
     if (injectors[l] != nullptr) frozen[l] = injectors[l]->freeze(ber);
   std::vector<double> accs(trials, 0.0);
+  // Per-(trial, layer) scrub slots keep the reduction order deterministic
+  // regardless of which worker ran which trial.
+  std::vector<error::EccScrubStats> trial_stats(
+      totals != nullptr ? trials * n_layers : 0);
   parallel_for_chunks(
       trials, [&](std::size_t begin, std::size_t end, std::size_t) {
         // One weight copy per worker (each needs private corruptible
@@ -67,66 +78,10 @@ double evaluate_corrupted(const snn::Network& net,
             if (injectors[l] == nullptr) continue;
             Rng inject_rng = layer_inject_rng(inject_seed, l, n_layers);
             flips[l].clear();
-            frozen[l].inject(scratch.weights_delta(l), inject_rng, sanitize,
-                             &flips[l]);
-            for (const auto& f : flips[l]) scratch.mirror_weight(l, f.word);
-          }
-          accs[t] = snn::evaluate(scratch, state, labels, test, eval_rng);
-          for (std::size_t l = 0; l < n_layers; ++l) {
-            if (injectors[l] == nullptr) continue;
-            error::revert_flips(scratch.weights_delta(l), flips[l]);
-            for (const auto& f : flips[l]) scratch.mirror_weight(l, f.word);
-          }
-        }
-      });
-  double acc_sum = 0.0;
-  for (const double a : accs) acc_sum += a;
-  return acc_sum / static_cast<double>(trials);
-}
-
-double evaluate_corrupted_ecc(const snn::Network& net,
-                              const snn::NeuronLabels& labels,
-                              const LayerInjectors& injectors,
-                              const LayerEcc& ecc, double ber,
-                              const data::Dataset& test, Rng& rng,
-                              std::size_t trials, float weight_clip,
-                              std::vector<EccScrubTotals>* totals) {
-  SPARKXD_REQUIRE(trials >= 1, "need at least one evaluation trial");
-  const std::size_t n_layers = net.n_layers();
-  SPARKXD_REQUIRE(injectors.size() == n_layers && ecc.size() == n_layers,
-                  "need one injector and one ecc slot per network layer");
-  for (std::size_t l = 0; l < n_layers; ++l)
-    SPARKXD_REQUIRE(ecc[l].scheme == nullptr || ecc[l].checks != nullptr,
-                    "an ecc-protected layer needs its check words");
-  const error::SanitizeRange clip{net.config().stdp.w_min, weight_clip};
-  // Same stream discipline as evaluate_corrupted (one parent draw, per-trial
-  // inject/eval substream pair, per-worker scratch network) — see the
-  // comments there. The difference is purely in what happens to a corrupted
-  // word: raw injection, codeword scrub, then the clip only where the code
-  // failed.
-  const std::uint64_t stream = rng.next_u64();
-  std::vector<error::FrozenInjection> frozen(n_layers);
-  for (std::size_t l = 0; l < n_layers; ++l)
-    if (injectors[l] != nullptr) frozen[l] = injectors[l]->freeze(ber);
-  std::vector<double> accs(trials, 0.0);
-  // Per-(trial, layer) scrub slots keep the reduction order deterministic
-  // regardless of which worker ran which trial.
-  std::vector<error::EccScrubStats> trial_stats(
-      totals != nullptr ? trials * n_layers : 0);
-  parallel_for_chunks(
-      trials, [&](std::size_t begin, std::size_t end, std::size_t) {
-        snn::Network scratch = net;
-        scratch.sync_transpose();
-        snn::InferenceState state(scratch);
-        std::vector<std::vector<error::WeightFlip>> flips(n_layers);
-        for (std::size_t t = begin; t < end; ++t) {
-          const std::uint64_t inject_seed = hash_combine(stream, 2 * t);
-          Rng eval_rng(hash_combine(stream, 2 * t + 1));
-          for (std::size_t l = 0; l < n_layers; ++l) {
-            if (injectors[l] == nullptr) continue;
-            Rng inject_rng = layer_inject_rng(inject_seed, l, n_layers);
-            flips[l].clear();
             if (ecc[l].scheme != nullptr) {
+              // Raw injection (the decoder must see exactly the stored
+              // bits), a scrub of the corrupted codewords, and the clip
+              // only on words of codewords the code could not restore.
               frozen[l].inject(scratch.weights_delta(l), inject_rng,
                                error::SanitizeRange::raw(), &flips[l]);
               const std::size_t n_injected = flips[l].size();
@@ -239,29 +194,6 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   // (callers check met_target).
   if (!result.met_target) result.improved = model_temp;
   return result;
-}
-
-ToleranceAnalysis analyze_tolerance(const snn::Network& net,
-                                    const snn::NeuronLabels& labels,
-                                    const error::ErrorInjector& injector,
-                                    const std::vector<double>& rates,
-                                    double target_accuracy,
-                                    const data::Dataset& test, Rng& rng,
-                                    std::size_t trials) {
-  SPARKXD_REQUIRE(std::is_sorted(rates.begin(), rates.end()),
-                  "linear search expects ascending BER values");
-  const LayerInjectors injectors{&injector};
-  ToleranceAnalysis out;
-  for (const double ber : rates) {
-    const double acc =
-        evaluate_corrupted(net, labels, injectors, ber, test, rng, trials);
-    out.curve.push_back({ber, acc});
-    if (acc >= target_accuracy) {
-      out.ber_th = ber;
-      out.met_target = true;
-    }
-  }
-  return out;
 }
 
 std::vector<ToleranceAnalysis> analyze_layer_tolerance(

@@ -73,6 +73,15 @@ struct FaultAwareResult {
 /// time). Size must equal the network's n_layers().
 using LayerInjectors = std::vector<const error::ErrorInjector*>;
 
+/// The per-layer injection stream of one trial (or one served request)
+/// keyed by `inject_seed`: a single-layer stack consumes the stream
+/// directly, an L>1 stack gives layer l the substream
+/// Rng(inject_seed).fork(l), keeping each layer's error draw independent of
+/// which other layers are corrupted (what lets the per-layer tolerance
+/// analysis reuse the same draws).
+[[nodiscard]] Rng layer_inject_rng(std::uint64_t inject_seed, std::size_t l,
+                                   std::size_t n_layers);
+
 /// Evaluates a model with every non-null entry of `injectors` corrupting its
 /// layer's weights at `ber`. Averages `trials` fresh error draws; trials run
 /// concurrently (see common/parallel), each with its own Rng substream keyed
@@ -85,13 +94,10 @@ using LayerInjectors = std::vector<const error::ErrorInjector*>;
 /// to the snapshot loop (tests/core_test.cpp proves it against a reference
 /// implementation). `net` is untouched (const — required for the concurrent
 /// per-voltage sweep to share one trained model). `weight_clip` is the
-/// load-time range clip applied to corrupted values.
+/// load-time range clip applied to corrupted values. Trial t's injection
+/// stream is split across layers by layer_inject_rng.
 ///
-/// Rng stream discipline: a single-layer stack consumes the trial's
-/// injection stream directly, while an L>1 stack forks per-layer injection
-/// substreams (layer l draws from inject_rng.fork(l)), keeping each layer's
-/// error draw independent of which other layers are corrupted (what lets
-/// the per-layer tolerance analysis reuse the same draws).
+/// This is evaluate_corrupted_ecc with every layer's scheme null.
 [[nodiscard]] double evaluate_corrupted(const snn::Network& net,
                                         const snn::NeuronLabels& labels,
                                         const LayerInjectors& injectors,
@@ -118,16 +124,16 @@ struct EccScrubTotals {
   std::uint64_t bits_corrected = 0;
 };
 
-/// ECC-protected variant of the layer-stack evaluate_corrupted: each trial
-/// injects RAW bit flips (no load-time clip — the decoder must see exactly
+/// evaluate_corrupted with per-layer ECC protection: a layer with a scheme
+/// takes RAW bit flips (no load-time clip — the decoder must see exactly
 /// the stored bits), scrubs only the corrupted codewords against the
 /// layer's check words (error::ecc_scrub_codewords), and applies the range
-/// clip solely to words of codewords the code could not restore. Rng
-/// stream discipline is identical to evaluate_corrupted, so with every
-/// scheme null this consumes the same draws (the clip timing differs, so
-/// use the plain overload for unprotected runs). When `totals` is non-null
-/// it is resized to n_layers and filled with per-layer scrub counts summed
-/// over trials, deterministically (trial-ascending reduction).
+/// clip solely to words of codewords the code could not restore; a layer
+/// with a null scheme is injected with the clip, exactly as in
+/// evaluate_corrupted — which is this function with every scheme null.
+/// When `totals` is non-null it is resized to n_layers and filled with
+/// per-layer scrub counts summed over trials, deterministically
+/// (trial-ascending reduction).
 [[nodiscard]] double evaluate_corrupted_ecc(
     const snn::Network& net, const snn::NeuronLabels& labels,
     const LayerInjectors& injectors, const LayerEcc& ecc, double ber,
@@ -148,32 +154,27 @@ struct EccScrubTotals {
     const LayerInjectors& injectors, const data::Dataset& train,
     const data::Dataset& test, Rng& rng);
 
-/// §IV-C tolerance analysis on an already-trained single-layer model:
-/// evaluates the accuracy with `injector` corrupting layer 0 at every BER in
-/// `rates` (ascending) and returns the curve plus the largest rate meeting
-/// `target_accuracy`.
+/// One layer's §IV-C tolerance analysis: the accuracy at every analyzed
+/// BER (ascending) plus the largest rate meeting the target accuracy.
 struct ToleranceAnalysis {
   std::vector<TolerancePoint> curve;
   double ber_th = 0.0;
   bool met_target = false;
 };
 
-[[nodiscard]] ToleranceAnalysis analyze_tolerance(
-    const snn::Network& net, const snn::NeuronLabels& labels,
-    const error::ErrorInjector& injector, const std::vector<double>& rates,
-    double target_accuracy, const data::Dataset& test, Rng& rng,
-    std::size_t trials = 1);
-
 /// PER-LAYER tolerance analysis (the EnforceSNN/EDEN structure): for each
-/// layer of the stack, runs analyze_tolerance with ONLY that layer
-/// corrupted (all other layers clean) and returns one curve + BER_th per
-/// layer, in layer order. Different layers tolerate different BERs — early
-/// layers feed every later computation while the output layer is protected
-/// by the bias-corrected population vote — and the per-layer BER_th vector
-/// is what the error-aware mapping consumes to give each layer its own
-/// placement threshold. `injectors` must be fully populated (one non-null
-/// injector per layer, built over that layer's placement). Layers consume
-/// `rng` serially, so the result is deterministic in its state.
+/// layer of the stack, evaluates the accuracy (evaluate_corrupted) with
+/// ONLY that layer corrupted (all other layers clean) at every BER in
+/// `rates` (ascending) and returns one curve + BER_th per layer, in layer
+/// order; for a single-layer stack this is the §IV-C analysis itself.
+/// Different layers tolerate different BERs — early layers feed every later
+/// computation while the output layer is protected by the bias-corrected
+/// population vote — and the per-layer BER_th vector is what the
+/// error-aware mapping consumes to give each layer its own placement
+/// threshold. `injectors` must hold exactly one non-null injector per layer,
+/// built over that layer's placement (throws ContractViolation otherwise).
+/// Layers consume `rng` serially, so the result is deterministic in its
+/// state.
 [[nodiscard]] std::vector<ToleranceAnalysis> analyze_layer_tolerance(
     const snn::Network& net, const snn::NeuronLabels& labels,
     const LayerInjectors& injectors, const std::vector<double>& rates,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -88,10 +87,6 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
   std::vector<std::vector<std::size_t>> stored(n_rungs);
   std::vector<std::vector<error::ChunkPlacement>> places(n_rungs);
   std::vector<std::vector<std::vector<std::uint64_t>>> rows(n_rungs);
-  std::vector<std::vector<double>> row_fraction(n_rungs);
-  const double total_rows =
-      static_cast<double>(in.geometry.total_subarrays()) *
-      static_cast<double>(in.geometry.rows_per_subarray);
   for (std::size_t k = 0; k < n_rungs; ++k) {
     schemes.push_back(error::make_ecc_scheme(ladder_specs[k]));
     stored[k].resize(n_layers);
@@ -101,7 +96,6 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
                                                   in.layer_weights[l]);
     places[k] = mapping::baseline_placement_layers(in.geometry, stored[k]);
     rows[k].resize(n_layers);
-    row_fraction[k].resize(n_layers);
     for (std::size_t l = 0; l < n_layers; ++l) {
       auto& r = rows[k][l];
       r.reserve(places[k][l].size());
@@ -109,7 +103,6 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
         r.push_back(dram::region_row_id(in.geometry, addr));
       std::sort(r.begin(), r.end());
       r.erase(std::unique(r.begin(), r.end()), r.end());
-      row_fraction[k][l] = static_cast<double>(r.size()) / total_rows;
     }
   }
 
@@ -148,27 +141,14 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
     // the refresh charge is the per-region term (REFs x row fraction), not
     // a module-wide REF bill — other layers' regions are billed by their
     // own candidates.
-    const auto timing = voltage_model.derive_timings(v);
     dram::RefreshRegions plan;
     plan.regions.push_back({candidate_policy(m), rows[ki][l]});
-    dram::Controller controller(in.geometry, timing, in.salp,
-                                std::move(plan));
-    const auto trace = mapping::streaming_read_trace(
-        in.geometry, places[ki][l], stored[ki][l]);
-    auto stats = controller.run(trace, kBurstArrivalNs);
-    std::size_t codewords = 0;
-    if (ladder_specs[ki].enabled()) {
-      codewords = error::ecc_codeword_count(scheme, in.layer_weights[l]);
-      stats.total_time_ns +=
-          static_cast<double>(codewords) * scheme.decode_latency_ns();
-    }
-    auto energy = power_model.trace_energy(stats, v);
-    energy.refresh_nj = power_model.region_refresh_energy_nj(
-        stats.region_refreshes.empty() ? 0 : stats.region_refreshes[0],
-        row_fraction[ki][l], v);
-    energy.ecc_nj =
-        static_cast<double>(codewords) * scheme.decode_energy_nj();
-    eval.energy_nj = energy.total_nj();
+    const EccStreamOverhead ecc =
+        ecc_stream_overhead(scheme, in.layer_weights[l]);
+    eval.energy_nj =
+        weight_stream_energy(in.geometry, places[ki][l], stored[ki][l], v,
+                             voltage_model, power_model, in.salp, plan, &ecc)
+            .energy.total_nj();
     table[slot(l, vi, mi, ki)] = eval;
   });
 

@@ -15,11 +15,12 @@
 // (baseline accuracy - accuracy_bound), so "meets the floor" is exactly
 // "post-correction residual BER <= BER_th".
 //
-// Candidate energy is a real controller simulation: the layer's rows form
-// one dram::RefreshRegion at the candidate cadence (commands dodge that
-// region's REF windows only) and the refresh charge is the power model's
-// per-region term — REF commands scaled by the fraction of module rows the
-// region actually retires. The search is deterministic and consumes no Rng:
+// Candidate energy is the pipeline's own stream-cost model
+// (core::weight_stream_energy) run with a one-region plan: the layer's rows
+// form one dram::RefreshRegion at the candidate cadence (commands dodge
+// that region's REF windows only) and the refresh charge is the power
+// model's per-region term — REF commands scaled by the fraction of module
+// rows the region actually retires. The search is deterministic and consumes no Rng:
 // candidates are evaluated with parallel_for into a preallocated table and
 // the winner is chosen by a value-based total order (energy, then higher
 // voltage, then lower multiplier, then weaker code), so the result is

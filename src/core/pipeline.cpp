@@ -43,12 +43,19 @@ void PipelineConfig::validate() const {
   layer_knobs.validate();
 }
 
+EccStreamOverhead ecc_stream_overhead(const error::EccScheme& scheme,
+                                      std::size_t n_weights) {
+  if (scheme.kind() == error::EccKind::kNone) return {};
+  return {error::ecc_codeword_count(scheme, n_weights),
+          scheme.decode_latency_ns(), scheme.decode_energy_nj()};
+}
+
 TraceEnergy weight_stream_energy(const dram::Geometry& geometry,
                                  const error::ChunkPlacement& placement,
                                  std::size_t n_weights, double v_supply,
                                  const energy::VoltageModel& vm,
                                  const energy::PowerModel& pm, bool salp,
-                                 const dram::RefreshPolicy& refresh,
+                                 const dram::RefreshRegions& refresh,
                                  const EccStreamOverhead* ecc) {
   const auto timing = vm.derive_timings(v_supply);
   dram::Controller controller(geometry, timing, salp, refresh);
@@ -64,11 +71,39 @@ TraceEnergy weight_stream_energy(const dram::Geometry& geometry,
     te.stats.total_time_ns += static_cast<double>(ecc->codewords) *
                               ecc->decode_ns_per_codeword;
   }
-  te.energy = pm.trace_energy(te.stats, v_supply, refresh);
+  te.energy = pm.trace_energy(te.stats, v_supply, refresh.base);
+  if (!refresh.regions.empty()) {
+    // Per-region REF retires only that region's rows (see the header).
+    const double module_rows =
+        static_cast<double>(geometry.total_subarrays()) *
+        static_cast<double>(geometry.rows_per_subarray);
+    te.energy.refresh_nj = 0.0;
+    for (std::size_t r = 0; r < refresh.regions.size(); ++r) {
+      const std::uint64_t refs = r < te.stats.region_refreshes.size()
+                                     ? te.stats.region_refreshes[r]
+                                     : 0;
+      te.energy.refresh_nj += pm.region_refresh_energy_nj(
+          refs,
+          static_cast<double>(refresh.regions[r].rows.size()) / module_rows,
+          v_supply);
+    }
+  }
   if (ecc != nullptr)
     te.energy.ecc_nj = static_cast<double>(ecc->codewords) *
                        ecc->decode_nj_per_codeword;
   return te;
+}
+
+TraceEnergy weight_stream_energy(const dram::Geometry& geometry,
+                                 const error::ChunkPlacement& placement,
+                                 std::size_t n_weights, double v_supply,
+                                 const energy::VoltageModel& vm,
+                                 const energy::PowerModel& pm, bool salp,
+                                 const dram::RefreshPolicy& refresh,
+                                 const EccStreamOverhead* ecc) {
+  return weight_stream_energy(geometry, placement, n_weights, v_supply, vm,
+                              pm, salp, dram::RefreshRegions{refresh, {}},
+                              ecc);
 }
 
 PipelineReport run_pipeline(const PipelineConfig& cfg) {
@@ -83,9 +118,13 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
       : artifact->voltage_index == ArtifactState::npos
           ? cfg.voltages.size() - 1
           : artifact->voltage_index;
-  if (artifact != nullptr)
+  if (artifact != nullptr) {
     SPARKXD_REQUIRE(capture_vi < cfg.voltages.size(),
                     "artifact voltage index is outside the voltage grid");
+    SPARKXD_REQUIRE(!cfg.ecc.enabled(),
+                    "an artifact carries no ECC check words; capture an "
+                    "unprotected configuration");
+  }
   Rng rng(cfg.seed);
   PipelineReport report;
   // Phase wall clocks (informational; see PhaseTimings).
@@ -277,26 +316,20 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
           layer_weights[l], cfg.seed, std::max(row.module_ber, 1e-12)));
     LayerInjectors eval_ptrs;
     for (const auto& inj : eval_injectors) eval_ptrs.push_back(&inj);
-    std::vector<EccScrubTotals> scrub_totals;
-    if (ecc_on) {
-      // The injectors above target the payload words only (check-word
-      // corruption is idealized away — the scrub engine's own storage is
-      // assumed protected); injection is raw and the scrub corrects or
-      // clips per codeword.
-      LayerEcc layer_ecc(n_layers);
+    // With ECC on, the injectors above target the payload words only
+    // (check-word corruption is idealized away — the scrub engine's own
+    // storage is assumed protected); injection is raw and the scrub
+    // corrects or clips per codeword. With it off every scheme is null.
+    LayerEcc layer_ecc(n_layers);
+    if (ecc_on)
       for (std::size_t l = 0; l < n_layers; ++l)
         layer_ecc[l] = {ecc_ladder[scheme_idx[l]].get(),
                         &ecc_checks[scheme_idx[l]][l]};
-      row.accuracy = evaluate_corrupted_ecc(
-          fa.improved.net, fa.improved.labels, eval_ptrs, layer_ecc,
-          row.module_ber, test, vrng, cfg.fault_training.eval_trials,
-          cfg.fault_training.weight_clip, &scrub_totals);
-    } else {
-      row.accuracy = evaluate_corrupted(
-          fa.improved.net, fa.improved.labels, eval_ptrs, row.module_ber,
-          test, vrng, cfg.fault_training.eval_trials,
-          cfg.fault_training.weight_clip);
-    }
+    std::vector<EccScrubTotals> scrub_totals;
+    row.accuracy = evaluate_corrupted_ecc(
+        fa.improved.net, fa.improved.labels, eval_ptrs, layer_ecc,
+        row.module_ber, test, vrng, cfg.fault_training.eval_trials,
+        cfg.fault_training.weight_clip, &scrub_totals);
 
     // Artifact capture: exactly one sweep worker matches, so the write is
     // race-free; freezing re-reads the injectors' candidate tables and
@@ -317,17 +350,13 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
     double total_time_ns = 0.0;
     std::uint64_t hits = 0, accesses = 0;
     for (std::size_t l = 0; l < n_layers; ++l) {
-      EccStreamOverhead ecc_oh;
-      if (ecc_on) {
-        const error::EccScheme& scheme = *ecc_ladder[scheme_idx[l]];
-        ecc_oh.codewords = error::ecc_codeword_count(scheme, layer_weights[l]);
-        ecc_oh.decode_ns_per_codeword = scheme.decode_latency_ns();
-        ecc_oh.decode_nj_per_codeword = scheme.decode_energy_nj();
-      }
+      const EccStreamOverhead ecc_oh =
+          ecc_on ? ecc_stream_overhead(*ecc_ladder[scheme_idx[l]],
+                                       layer_weights[l])
+                 : EccStreamOverhead{};
       const auto te = weight_stream_energy(
           cfg.geometry, placement[l].chunks, stored_weights[l], v,
-          voltage_model, power_model, cfg.salp, cfg.refresh,
-          ecc_on ? &ecc_oh : nullptr);
+          voltage_model, power_model, cfg.salp, cfg.refresh, &ecc_oh);
       LayerVoltageStats& ls = row.layers[l];
       ls.ber_th = placement[l].ber_th;
       ls.capacity_relaxed = placement[l].capacity_relaxed;

@@ -16,6 +16,7 @@
 
 #include "core/fault_aware.hpp"
 #include "core/layer_knobs.hpp"
+#include "dram/controller.hpp"
 #include "dram/geometry.hpp"
 #include "energy/ber_model.hpp"
 #include "energy/power_model.hpp"
@@ -202,6 +203,9 @@ struct ArtifactState {
 };
 
 /// run_pipeline with an optional artifact capture (nullptr = plain run).
+/// A capture needs cfg.ecc disabled (throws ContractViolation otherwise):
+/// the artifact holds no check words and serving injects with the clip
+/// only, so a protected configuration would be served unprotected.
 [[nodiscard]] PipelineReport run_pipeline(const PipelineConfig& cfg,
                                           ArtifactState* artifact);
 
@@ -231,6 +235,32 @@ struct EccStreamOverhead {
   double decode_nj_per_codeword = 0.0;
 };
 
+/// The overhead of streaming `n_weights` payload words under `scheme`: one
+/// decode per codeword; all zero for an unprotected scheme.
+[[nodiscard]] EccStreamOverhead ecc_stream_overhead(
+    const error::EccScheme& scheme, std::size_t n_weights);
+
+/// The one stream-cost model: DRAM stats + energy of streaming `n_weights`
+/// words through `placement` at `v_supply` (one controller run of the
+/// streaming read trace, at kBurstArrivalNs). With `ecc`, the serial decode
+/// time extends the makespan before the energy conversion and the decode
+/// energy fills EnergyBreakdown::ecc_nj.
+///
+/// Refresh rule: when `refresh` has regions, commands dodge each region's
+/// own REF windows and refresh_nj is the sum over regions of
+/// PowerModel::region_refresh_energy_nj(that region's REF count, region
+/// rows / module rows) — the rows outside every region are not billed.
+/// Without regions, `refresh.base` alone governs the controller and
+/// PowerModel::trace_energy's policy rule bills refresh (the REFs counted
+/// when simulated, the makespan estimate when disabled).
+[[nodiscard]] TraceEnergy weight_stream_energy(
+    const dram::Geometry& geometry, const error::ChunkPlacement& placement,
+    std::size_t n_weights, double v_supply, const energy::VoltageModel& vm,
+    const energy::PowerModel& pm, bool salp,
+    const dram::RefreshRegions& refresh,
+    const EccStreamOverhead* ecc = nullptr);
+
+/// Single-policy form: the plan RefreshRegions{refresh, {}}.
 [[nodiscard]] TraceEnergy weight_stream_energy(
     const dram::Geometry& geometry, const error::ChunkPlacement& placement,
     std::size_t n_weights, double v_supply,

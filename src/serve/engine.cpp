@@ -2,6 +2,7 @@
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "core/fault_aware.hpp"
 #include "snn/trainer.hpp"
 
 namespace sparkxd::serve {
@@ -26,16 +27,14 @@ ClassifyReply Engine::classify(const ClassifyRequest& request) {
   const std::size_t n_layers = scratch_.n_layers();
   const error::SanitizeRange sanitize{cfg.stdp.w_min, artifact_->weight_clip};
 
-  // Fault injection through the frozen tables — same per-layer stream
-  // discipline as core::evaluate_corrupted's trials, keyed by the request
-  // seed instead of a trial index.
+  // Fault injection through the frozen tables — the per-layer streams of
+  // core::evaluate_corrupted's trials (core::layer_inject_rng), keyed by
+  // the request seed instead of a trial index.
   const std::uint64_t inject_seed = hash_combine(request.seed, 0);
   ClassifyReply reply;
   reply.id = request.id;
   for (std::size_t l = 0; l < n_layers; ++l) {
-    Rng inject_rng = n_layers == 1
-                         ? Rng(inject_seed)
-                         : Rng(inject_seed).fork(static_cast<std::uint64_t>(l));
+    Rng inject_rng = core::layer_inject_rng(inject_seed, l, n_layers);
     flips_[l].clear();
     reply.flips += static_cast<std::uint32_t>(artifact_->layers[l].frozen.inject(
         scratch_.weights_delta(l), inject_rng, sanitize, &flips_[l]));

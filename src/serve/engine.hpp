@@ -6,10 +6,11 @@
 // it —
 //
 //   inject stream  hash_combine(seed, 0): drives the weak-cell flip
-//                  decisions through the artifact's frozen tables, with the
-//                  same per-layer discipline as core::evaluate_corrupted
-//                  (single layer consumes the stream directly, a deep stack
-//                  forks substream l for layer l);
+//                  decisions through the artifact's frozen tables, split
+//                  across layers by core::layer_inject_rng as in
+//                  core::evaluate_corrupted (single layer consumes the
+//                  stream directly, a deep stack forks substream l for
+//                  layer l);
 //   spike stream   hash_combine(seed, 1): drives the Poisson encoding of
 //                  the request's image.
 //

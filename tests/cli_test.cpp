@@ -139,6 +139,29 @@ TEST(CliTest, ExportArtifactNeedsExactlyOneScenario) {
       << r.output;
 }
 
+TEST(CliTest, ExportArtifactRefusesEccNamingTheScheme) {
+  // The artifact stores no check words and the server injects with the
+  // clip only: exporting a protected scenario would serve it unprotected.
+  // Refused before anything runs, whether the scheme is built in or comes
+  // from --ecc.
+  const auto built_in = run_cli(
+      "--scenario smoke-digits-ecc "
+      "--export-artifact /tmp/cli_test_never_written.sxda");
+  EXPECT_EQ(built_in.exit_code, 2);
+  EXPECT_NE(built_in.output.find("cannot carry ECC"), std::string::npos)
+      << built_in.output;
+  EXPECT_NE(built_in.output.find("secded(72,64)"), std::string::npos)
+      << built_in.output;
+  EXPECT_EQ(built_in.output.find("running"), std::string::npos)
+      << built_in.output;
+  const auto overridden = run_cli(
+      "--scenario smoke-digits-m0 --ecc parity "
+      "--export-artifact /tmp/cli_test_never_written.sxda");
+  EXPECT_EQ(overridden.exit_code, 2);
+  EXPECT_NE(overridden.output.find("parity("), std::string::npos)
+      << overridden.output;
+}
+
 TEST(CliTest, BadArtifactVoltageExitsTwo) {
   const auto r = run_cli(
       "--scenario smoke-digits-m0 --export-artifact "

@@ -9,6 +9,7 @@
 #include "common/contracts.hpp"
 #include "core/fault_aware.hpp"
 #include "core/pipeline.hpp"
+#include "error/ecc_scheme.hpp"
 #include "mapping/mapping.hpp"
 
 namespace sparkxd::core {
@@ -202,33 +203,111 @@ TEST_F(FaultAwareFixture, ToleranceCurveIsRecordedAscending) {
   auto model = *state->baseline;  // copy
   const std::vector<double> rates{1e-7, 1e-5, 1e-3};
   const auto analysis =
-      analyze_tolerance(model.net, model.labels, *state->injector, rates,
-                        0.0, state->test, rng);
-  ASSERT_EQ(analysis.curve.size(), 3u);
+      analyze_layer_tolerance(model.net, model.labels, state->injectors,
+                              rates, 0.0, state->test, rng);
+  ASSERT_EQ(analysis.size(), 1u);
+  ASSERT_EQ(analysis[0].curve.size(), 3u);
   for (std::size_t i = 0; i < rates.size(); ++i)
-    EXPECT_EQ(analysis.curve[i].ber, rates[i]);
+    EXPECT_EQ(analysis[0].curve[i].ber, rates[i]);
   // target 0 -> every point passes -> BER_th is the last stage.
-  EXPECT_TRUE(analysis.met_target);
-  EXPECT_EQ(analysis.ber_th, 1e-3);
+  EXPECT_TRUE(analysis[0].met_target);
+  EXPECT_EQ(analysis[0].ber_th, 1e-3);
 }
 
 TEST_F(FaultAwareFixture, ToleranceUnreachableTarget) {
   Rng rng(10);
   auto model = *state->baseline;
   const auto analysis =
-      analyze_tolerance(model.net, model.labels, *state->injector,
-                        {1e-5, 1e-3}, 1.01, state->test, rng);
-  EXPECT_FALSE(analysis.met_target);
-  EXPECT_EQ(analysis.ber_th, 0.0);
+      analyze_layer_tolerance(model.net, model.labels, state->injectors,
+                              {1e-5, 1e-3}, 1.01, state->test, rng);
+  ASSERT_EQ(analysis.size(), 1u);
+  EXPECT_FALSE(analysis[0].met_target);
+  EXPECT_EQ(analysis[0].ber_th, 0.0);
 }
 
 TEST_F(FaultAwareFixture, ToleranceRejectsDescendingRates) {
   Rng rng(11);
   auto model = *state->baseline;
-  EXPECT_THROW(
-      (void)analyze_tolerance(model.net, model.labels, *state->injector,
-                              {1e-3, 1e-5}, 0.5, state->test, rng),
-      ContractViolation);
+  EXPECT_THROW((void)analyze_layer_tolerance(model.net, model.labels,
+                                             state->injectors, {1e-3, 1e-5},
+                                             0.5, state->test, rng),
+               ContractViolation);
+}
+
+TEST_F(FaultAwareFixture, ToleranceRejectsANullInjector) {
+  Rng rng(12);
+  auto model = *state->baseline;
+  EXPECT_THROW((void)analyze_layer_tolerance(model.net, model.labels,
+                                             LayerInjectors{nullptr},
+                                             {1e-5, 1e-3}, 0.5, state->test,
+                                             rng),
+               ContractViolation);
+}
+
+TEST_F(FaultAwareFixture, ToleranceRejectsAnInjectorCountOtherThanDepth) {
+  Rng rng(13);
+  auto model = *state->baseline;
+  EXPECT_THROW((void)analyze_layer_tolerance(
+                   model.net, model.labels,
+                   LayerInjectors{state->injector.get(),
+                                  state->injector.get()},
+                   {1e-5, 1e-3}, 0.5, state->test, rng),
+               ContractViolation);
+  EXPECT_THROW((void)analyze_layer_tolerance(model.net, model.labels,
+                                             LayerInjectors{}, {1e-5, 1e-3},
+                                             0.5, state->test, rng),
+               ContractViolation);
+}
+
+// ----------------------------------------------------------- ecc evaluation
+
+TEST(EvaluateCorruptedEcc, TwoLayerMixedProtectionKnownAnswer) {
+  // A 2-layer stack with SECDED on layer 0 and no code on layer 1: layer 0
+  // takes the raw-inject + scrub path, layer 1 the clip-only path, both
+  // drawing from their forked substreams. The pinned accuracy, per-layer
+  // scrub totals and the caller's next draw lock down the whole trial
+  // loop; a stream, clip or reduction change moves at least one of them.
+  const auto all = data::make_dataset(data::Task::kDigits, 150, 42);
+  const auto train = all.take(100);
+  const auto test = all.drop(100);
+  snn::NetworkConfig cfg;
+  cfg.n_neurons = 25;
+  cfg.hidden_neurons = {48};
+  cfg.seed = 42;
+  Rng train_rng(42);
+  const auto model = snn::train_and_label(cfg, train, test, 1, train_rng);
+  const auto geometry = dram::Geometry::lpddr3_4gb();
+  const error::SubarrayProfile profile(geometry, 42);
+  const std::vector<std::size_t> layer_weights{cfg.layer_weight_count(0),
+                                               cfg.layer_weight_count(1)};
+  const auto places =
+      mapping::baseline_placement_layers(geometry, layer_weights);
+  std::vector<error::ErrorInjector> injectors;
+  for (std::size_t l = 0; l < 2; ++l)
+    injectors.push_back(error::ErrorInjector::for_weights(
+        geometry, profile, error::ErrorModelSpec{}, places[l],
+        layer_weights[l], 42, 1e-3));
+  const auto secded =
+      error::make_ecc_scheme({error::EccKind::kSecded, 64, 0});
+  const auto checks = error::ecc_encode_buffer(*secded, model.net.weights(0));
+  const LayerEcc ecc{{secded.get(), &checks}, {nullptr, nullptr}};
+
+  Rng rng(77);
+  std::vector<EccScrubTotals> totals;
+  const double acc = evaluate_corrupted_ecc(
+      model.net, model.labels, {&injectors[0], &injectors[1]}, ecc, 1e-3,
+      test, rng, 4, kDefaultWeightClip, &totals);
+  EXPECT_EQ(acc, 0.39000000000000001);
+  ASSERT_EQ(totals.size(), 2u);
+  EXPECT_EQ(totals[0].codewords, 2241u);
+  EXPECT_EQ(totals[0].corrected, 2218u);
+  EXPECT_EQ(totals[0].detected, 23u);
+  EXPECT_EQ(totals[0].bits_corrected, 2218u);
+  EXPECT_EQ(totals[1].codewords, 0u);
+  EXPECT_EQ(totals[1].corrected, 0u);
+  EXPECT_EQ(totals[1].detected, 0u);
+  EXPECT_EQ(totals[1].bits_corrected, 0u);
+  EXPECT_EQ(rng.next_u64(), 4186339675336148520ull);
 }
 
 // ------------------------------------------------------------------ pipeline
@@ -302,6 +381,15 @@ TEST(Pipeline, RejectsEmptyVoltageList) {
   PipelineConfig cfg;
   cfg.voltages.clear();
   EXPECT_THROW((void)run_pipeline(cfg), ContractViolation);
+}
+
+TEST(Pipeline, ArtifactCaptureRejectsEcc) {
+  // An artifact carries no check words, so capturing a protected
+  // configuration would serve it unprotected; refused before any work.
+  PipelineConfig cfg;
+  cfg.ecc = {error::EccKind::kSecded, 64, 0};
+  ArtifactState artifact;
+  EXPECT_THROW((void)run_pipeline(cfg, &artifact), ContractViolation);
 }
 
 TEST(PipelineConfig_, ValidateRejectsBadVoltageGrids) {

@@ -109,6 +109,35 @@ TEST(LayerKnobs, EveryChosenTripleMeetsTheFloorItWasSelectedUnder) {
   EXPECT_GT(report.uniform_energy_nj, 0.0);
 }
 
+TEST(LayerKnobs, ChosenEnergiesMatchKnownAnswers) {
+  // Exact doubles: the relational checks above would all still hold if the
+  // stream cost billed refresh or ECC decode wrongly. SearchSetup's tiny
+  // layers stream inside one tREFI (no REF fires; the ECC decode charge is
+  // what these pin); the 100x larger layers stream long enough that every
+  // candidate cadence fires REFs, so their region refresh bill is pinned
+  // too (and the winners move off the datasheet cadence).
+  SearchSetup s;
+  const auto small = assign_layer_knobs(s.cfg, s.in);
+  ASSERT_EQ(small.layers.size(), 2u);
+  EXPECT_EQ(small.layers[0].energy_nj, 95.151909293552805);
+  EXPECT_EQ(small.layers[1].energy_nj, 48.045498113854585);
+  EXPECT_EQ(small.total_energy_nj, 143.19740740740738);
+  ASSERT_TRUE(small.uniform_feasible);
+  EXPECT_EQ(small.uniform_energy_nj, 143.19740740740738);
+
+  SearchSetup big;
+  big.in.layer_weights = {60000, 30000};
+  const auto large = assign_layer_knobs(big.cfg, big.in);
+  ASSERT_EQ(large.layers.size(), 2u);
+  EXPECT_EQ(large.layers[0].refresh_multiplier, 8.0);
+  EXPECT_EQ(large.layers[1].refresh_multiplier, 4.0);
+  EXPECT_EQ(large.layers[0].energy_nj, 9240.8950437242784);
+  EXPECT_EQ(large.layers[1].energy_nj, 4623.6266915294918);
+  EXPECT_EQ(large.total_energy_nj, 13864.521735253769);
+  ASSERT_TRUE(large.uniform_feasible);
+  EXPECT_EQ(large.uniform_energy_nj, 13864.521735253769);
+}
+
 TEST(LayerKnobs, ResultIsThreadCountInvariant) {
   SearchSetup s;
   LayerKnobsReport serial, parallel8;
