@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <locale>
+#include <sstream>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -106,6 +108,97 @@ TraceEnergy weight_stream_energy(const dram::Geometry& geometry,
                               ecc);
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ns_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+}
+
+/// Key writer: every field in a fixed order, floats as hexfloat (exact),
+/// '|' between fields and ',' after each vector element, so distinct
+/// field values always give distinct keys.
+class KeyWriter {
+ public:
+  KeyWriter() { out_.imbue(std::locale::classic()); out_ << std::hexfloat; }
+  template <class T>
+  KeyWriter& operator<<(const T& v) {
+    out_ << v << '|';
+    return *this;
+  }
+  template <class T>
+  KeyWriter& operator<<(const std::vector<T>& vs) {
+    for (const T& v : vs) out_ << v << ',';
+    out_ << '|';
+    return *this;
+  }
+  [[nodiscard]] std::string str() const { return out_.str(); }
+
+ private:
+  std::ostringstream out_;
+};
+
+/// Index into cfg.voltages that `artifact` captures (npos without one);
+/// validates the capture request.
+std::size_t capture_index(const PipelineConfig& cfg,
+                          const ArtifactState* artifact) {
+  if (artifact == nullptr) return ArtifactState::npos;
+  const std::size_t vi = artifact->voltage_index == ArtifactState::npos
+                             ? cfg.voltages.size() - 1
+                             : artifact->voltage_index;
+  SPARKXD_REQUIRE(vi < cfg.voltages.size(),
+                  "artifact voltage index is outside the voltage grid");
+  SPARKXD_REQUIRE(!cfg.ecc.enabled(),
+                  "an artifact carries no ECC check words; capture an "
+                  "unprotected configuration");
+  return vi;
+}
+
+std::vector<std::size_t> layer_weight_counts(const snn::NetworkConfig& net) {
+  std::vector<std::size_t> counts(net.n_layers());
+  for (std::size_t l = 0; l < counts.size(); ++l)
+    counts[l] = net.layer_weight_count(l);
+  return counts;
+}
+
+}  // namespace
+
+std::string baseline_training_key(const PipelineConfig& cfg) {
+  const snn::NetworkConfig& n = cfg.network;
+  KeyWriter k;
+  k << static_cast<int>(cfg.task) << cfg.train_samples << cfg.test_samples
+    << cfg.seed << cfg.baseline_epochs;
+  k << n.n_inputs << n.n_neurons << n.hidden_neurons << n.timesteps
+    << n.dt_ms << n.max_rate << n.norm_target << n.seed
+    << static_cast<int>(n.engine);
+  k << n.lif.v_rest << n.lif.v_reset << n.lif.v_thresh << n.lif.tau_m_ms
+    << n.lif.refractory_steps << n.lif.theta_plus << n.lif.tau_theta_ms
+    << n.lif.inhibition << n.lif.winner_take_all
+    << n.lif.compete_at_inference;
+  k << n.stdp.eta << n.stdp.x_target << n.stdp.tau_pre_ms << n.stdp.w_min
+    << n.stdp.w_max;
+  return k.str();
+}
+
+std::string fault_training_key(const PipelineConfig& cfg) {
+  const FaultTrainingConfig& f = cfg.fault_training;
+  const dram::Geometry& g = cfg.geometry;
+  const error::ErrorModelSpec& e = cfg.error_model;
+  KeyWriter k;
+  k << baseline_training_key(cfg);
+  k << f.ber_stages << f.epochs_per_stage << f.accuracy_bound
+    << f.eval_trials << f.weight_clip << f.calibrate_under_errors;
+  k << g.channels << g.ranks_per_channel << g.chips_per_rank
+    << g.banks_per_chip << g.subarrays_per_bank << g.rows_per_subarray
+    << g.columns_per_row << g.column_bytes << g.burst_columns;
+  k << cfg.subarray_sigma;
+  k << static_cast<int>(e.kind) << e.p1 << e.p0 << e.stripe_sigma
+    << e.retention.enabled << e.retention.interval_multiplier
+    << e.retention.median_decades << e.retention.sigma_decades;
+  return k.str();
+}
+
 PipelineReport run_pipeline(const PipelineConfig& cfg) {
   return run_pipeline(cfg, nullptr);
 }
@@ -113,50 +206,43 @@ PipelineReport run_pipeline(const PipelineConfig& cfg) {
 PipelineReport run_pipeline(const PipelineConfig& cfg,
                             ArtifactState* artifact) {
   cfg.validate();
-  const std::size_t capture_vi =
-      artifact == nullptr ? ArtifactState::npos
-      : artifact->voltage_index == ArtifactState::npos
-          ? cfg.voltages.size() - 1
-          : artifact->voltage_index;
-  if (artifact != nullptr) {
-    SPARKXD_REQUIRE(capture_vi < cfg.voltages.size(),
-                    "artifact voltage index is outside the voltage grid");
-    SPARKXD_REQUIRE(!cfg.ecc.enabled(),
-                    "an artifact carries no ECC check words; capture an "
-                    "unprotected configuration");
-  }
-  Rng rng(cfg.seed);
-  PipelineReport report;
-  // Phase wall clocks (informational; see PhaseTimings).
-  const auto now = [] { return std::chrono::steady_clock::now(); };
-  const auto since = [](std::chrono::steady_clock::time_point t0,
-                        std::chrono::steady_clock::time_point t1) {
-    return std::chrono::duration<double, std::nano>(t1 - t0).count();
-  };
-  const auto t_start = now();
+  (void)capture_index(cfg, artifact);  // reject a bad capture before training
+  return run_sweep(cfg, train_fault_aware(cfg, train_baseline(cfg)),
+                   artifact);
+}
 
+BaselineState train_baseline(const PipelineConfig& cfg) {
+  cfg.validate();
+  const auto t_start = Clock::now();
+  Rng rng(cfg.seed);
   // --- Data + baseline model (accurate DRAM). -----------------------------
   const auto all = data::make_dataset(
       cfg.task, cfg.train_samples + cfg.test_samples, cfg.seed);
-  const auto train = all.take(cfg.train_samples);
-  const auto test = all.drop(cfg.train_samples);
+  auto train = all.take(cfg.train_samples);
+  auto test = all.drop(cfg.train_samples);
+  auto model = snn::train_and_label(cfg.network, train, test,
+                                    cfg.baseline_epochs, rng);
+  return {baseline_training_key(cfg), std::move(train), std::move(test),
+          std::move(model), rng, ns_since(t_start)};
+}
 
-  auto baseline = snn::train_and_label(cfg.network, train, test,
-                                       cfg.baseline_epochs, rng);
-  report.baseline_accuracy = baseline.clean_accuracy;
-  const auto t_trained = now();
-  report.timings.train_ns = since(t_start, t_trained);
+TrainedState train_fault_aware(const PipelineConfig& cfg,
+                               const BaselineState& baseline) {
+  SPARKXD_REQUIRE(baseline.key == baseline_training_key(cfg),
+                  "baseline state was trained for a different baseline "
+                  "configuration");
+  const auto t_start = Clock::now();
+  Rng rng = baseline.rng;
+  const data::Dataset& test = baseline.test;
+  PipelineReport report;
+  report.baseline_accuracy = baseline.model.clean_accuracy;
+  report.timings.train_ns = baseline.train_ns;
 
-  // --- Substrate models. ---------------------------------------------------
-  const energy::VoltageModel voltage_model;
-  const energy::BerModel ber_model;
-  const energy::PowerModel power_model;
   const error::SubarrayProfile profile(cfg.geometry, cfg.seed,
                                        cfg.subarray_sigma);
   const std::size_t n_layers = cfg.network.n_layers();
-  std::vector<std::size_t> layer_weights(n_layers);
-  for (std::size_t l = 0; l < n_layers; ++l)
-    layer_weights[l] = cfg.network.layer_weight_count(l);
+  const std::vector<std::size_t> layer_weights =
+      layer_weight_counts(cfg.network);
 
   // Training-time injectors: the paper trains against the *baseline* mapping
   // (weights in subsequent addresses of a bank, §IV-B Step-2); each layer
@@ -176,32 +262,28 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
   for (const auto& inj : train_injectors) train_injector_ptrs.push_back(&inj);
 
   // --- Algorithm 1: fault-aware training + BER_th. -------------------------
-  auto fa = improve_error_tolerance(baseline, cfg.fault_training,
-                                    train_injector_ptrs, train, test, rng);
+  auto fa = improve_error_tolerance(baseline.model, cfg.fault_training,
+                                    train_injector_ptrs, baseline.train, test,
+                                    rng);
   report.ber_th = fa.ber_th;
   report.met_target = fa.met_target;
   report.stage_curve = std::move(fa.stage_curve);
+  // The scratch overload syncs the transposed copy in place, which is what
+  // lets every sweep share the improved model read-only.
   report.improved_accuracy =
       snn::evaluate(fa.improved.net, fa.improved.labels, test, rng);
-  if (artifact != nullptr) {
-    // Copy the deployed model out now (the sweep below shares it
-    // read-only); its clean_accuracy becomes the error-free test accuracy.
-    artifact->model = fa.improved;
-    artifact->model->clean_accuracy = report.improved_accuracy;
-    artifact->weight_clip = cfg.fault_training.weight_clip;
-  }
 
   // --- Per-layer tolerance analysis (§IV-C, per layer). --------------------
   // A single-layer stack's per-layer vector IS the global result — no extra
   // analysis runs (and no Rng is consumed), keeping legacy runs
   // bit-identical. Deep stacks re-run the analysis once per layer with only
   // that layer corrupted; the resulting BER_th vector drives the per-layer
-  // mapping thresholds in the sweep below.
+  // mapping thresholds in the sweep.
   report.layer_ber_th.assign(n_layers, fa.met_target ? fa.ber_th : 0.0);
   report.layer_met_target.assign(n_layers, fa.met_target);
   if (n_layers > 1) {
     const double target =
-        baseline.clean_accuracy - cfg.fault_training.accuracy_bound;
+        baseline.model.clean_accuracy - cfg.fault_training.accuracy_bound;
     const auto per_layer = analyze_layer_tolerance(
         fa.improved.net, fa.improved.labels, train_injector_ptrs,
         cfg.fault_training.ber_stages, target, test, rng,
@@ -214,8 +296,42 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
       report.layer_curves[l] = per_layer[l].curve;
     }
   }
-  const auto t_fault_trained = now();
-  report.timings.fault_training_ns = since(t_trained, t_fault_trained);
+  report.timings.fault_training_ns = ns_since(t_start);
+  return {fault_training_key(cfg), test, std::move(fa.improved),
+          std::move(report), rng};
+}
+
+PipelineReport run_sweep(const PipelineConfig& cfg,
+                         const TrainedState& trained,
+                         ArtifactState* artifact) {
+  cfg.validate();
+  SPARKXD_REQUIRE(trained.key == fault_training_key(cfg),
+                  "trained state was trained for a different training "
+                  "configuration");
+  const std::size_t capture_vi = capture_index(cfg, artifact);
+  const auto t_start = Clock::now();
+  PipelineReport report = trained.report;
+  const snn::TrainedModel& improved = trained.improved;
+  const data::Dataset& test = trained.test;
+  if (artifact != nullptr) {
+    // Copy the deployed model out now (the sweep below shares it
+    // read-only); its clean_accuracy becomes the error-free test accuracy.
+    artifact->model = improved;
+    artifact->model->clean_accuracy = report.improved_accuracy;
+    artifact->weight_clip = cfg.fault_training.weight_clip;
+  }
+
+  // --- Substrate models. ---------------------------------------------------
+  const energy::VoltageModel voltage_model;
+  const energy::BerModel ber_model;
+  const energy::PowerModel power_model;
+  const error::SubarrayProfile profile(cfg.geometry, cfg.seed,
+                                       cfg.subarray_sigma);
+  const std::size_t n_layers = cfg.network.n_layers();
+  const std::vector<std::size_t> layer_weights =
+      layer_weight_counts(cfg.network);
+  const auto base_places =
+      mapping::baseline_placement_layers(cfg.geometry, layer_weights);
 
   // --- ECC axis (third approximation knob). --------------------------------
   // The escalation ladder starts at the configured scheme and appends
@@ -234,7 +350,7 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
       ecc_checks[k].resize(n_layers);
       for (std::size_t l = 0; l < n_layers; ++l)
         ecc_checks[k][l] =
-            error::ecc_encode_buffer(*ecc_ladder[k], fa.improved.net.weights(l));
+            error::ecc_encode_buffer(*ecc_ladder[k], improved.net.weights(l));
     }
   }
 
@@ -259,7 +375,7 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
   // and fills its own report slot, keeping the report bit-identical at every
   // SPARKXD_THREADS setting.
   report.per_voltage.resize(cfg.voltages.size());
-  const Rng sweep_rng = rng;
+  const Rng sweep_rng = trained.rng;
   parallel_for(cfg.voltages.size(), [&](std::size_t vi) {
     const double v = cfg.voltages[vi];
     Rng vrng = sweep_rng.fork(vi);
@@ -327,7 +443,7 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
                         &ecc_checks[scheme_idx[l]][l]};
     std::vector<EccScrubTotals> scrub_totals;
     row.accuracy = evaluate_corrupted_ecc(
-        fa.improved.net, fa.improved.labels, eval_ptrs, layer_ecc,
+        improved.net, improved.labels, eval_ptrs, layer_ecc,
         row.module_ber, test, vrng, cfg.fault_training.eval_trials,
         cfg.fault_training.weight_clip, &scrub_totals);
 
@@ -416,9 +532,9 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
     in.seed = cfg.seed;
     report.layer_knobs = assign_layer_knobs(cfg.layer_knobs, in);
   }
-  const auto t_done = now();
-  report.timings.sweep_ns = since(t_fault_trained, t_done);
-  report.timings.total_ns = since(t_start, t_done);
+  PhaseTimings& t = report.timings;
+  t.sweep_ns = ns_since(t_start);
+  t.total_ns = t.train_ns + t.fault_training_ns + t.sweep_ns;
   return report;
 }
 

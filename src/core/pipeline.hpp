@@ -138,10 +138,21 @@ struct VoltageReport {
 /// the stable JSON serialization and the golden digests (which must stay
 /// byte-identical across runs); sparkxd_run --timings prints them to stderr.
 struct PhaseTimings {
-  double train_ns = 0.0;           ///< dataset synthesis + baseline training
-  double fault_training_ns = 0.0;  ///< Algorithm 1 (incl. stage evaluations)
-  double sweep_ns = 0.0;           ///< baseline energy + per-voltage sweep
-  double total_ns = 0.0;
+  /// Dataset synthesis + baseline training (train_baseline).
+  double train_ns = 0.0;
+  /// Algorithm 1 (incl. its stage evaluations) + the per-layer tolerance
+  /// analysis (train_fault_aware).
+  double fault_training_ns = 0.0;
+  /// Baseline energy + per-voltage sweep + knob search (run_sweep).
+  double sweep_ns = 0.0;
+  double total_ns = 0.0;  ///< sum of the three phases above
+  /// Set by scenario::run_scenarios on a row that reused an earlier row's
+  /// baseline training (same baseline_training_key): the training ran once,
+  /// on the earlier row's clock, so this row's train_ns is 0.
+  bool train_shared = false;
+  /// Likewise for Algorithm 1 (same fault_training_key): fault_training_ns
+  /// is 0. Implies train_shared.
+  bool fault_training_shared = false;
 };
 
 /// Full pipeline output.
@@ -171,7 +182,62 @@ struct PipelineReport {
 };
 
 /// Runs the whole framework. Deterministic in cfg.seed.
+/// Equivalent to run_sweep(cfg, train_fault_aware(cfg, train_baseline(cfg))).
 [[nodiscard]] PipelineReport run_pipeline(const PipelineConfig& cfg);
+
+// --- The pipeline in phases. ------------------------------------------------
+// run_pipeline is three phases composed. The two training phases read only
+// the config fields named by their key below, so a batch whose rows agree
+// on a key can run that phase once and hand its state to every row
+// (scenario::run_scenarios does). A state is a pure function of its key:
+// reusing it is unobservable in the report bytes.
+
+/// Exactly the config subset the baseline phase reads: task, sample counts,
+/// cfg.seed, baseline_epochs and the whole NetworkConfig (engine included —
+/// the baseline's clean accuracy runs the inference engine). Two configs
+/// with equal keys produce equal BaselineStates.
+[[nodiscard]] std::string baseline_training_key(const PipelineConfig& cfg);
+
+/// baseline_training_key plus what Algorithm 1 and the per-layer tolerance
+/// analysis read: fault_training, geometry, subarray_sigma and the whole
+/// error_model (retention included). Independent of salp, refresh, ecc,
+/// voltages and layer_knobs, which only the sweep reads.
+[[nodiscard]] std::string fault_training_key(const PipelineConfig& cfg);
+
+/// State after dataset synthesis and baseline training.
+struct BaselineState {
+  std::string key;  ///< baseline_training_key of the config it was built for
+  data::Dataset train;
+  data::Dataset test;
+  snn::TrainedModel model;  ///< clean_accuracy = baseline test accuracy
+  Rng rng;                  ///< the pipeline stream after this phase
+  double train_ns = 0.0;
+};
+
+/// State after Algorithm 1 and the per-layer tolerance analysis: everything
+/// the sweep reads that training produced.
+struct TrainedState {
+  std::string key;  ///< fault_training_key of the config it was built for
+  data::Dataset test;
+  /// The improved model, its transposed inference copy synced so sweeps can
+  /// share it read-only; clean_accuracy is the baseline's (Algorithm 1
+  /// carries it), the report holds the improved one.
+  snn::TrainedModel improved;
+  /// Training fields filled (baseline/improved accuracy, ber_th,
+  /// met_target, stage_curve, layer_*) plus timings.train_ns and
+  /// timings.fault_training_ns; every sweep field empty.
+  PipelineReport report;
+  Rng rng;  ///< the pipeline stream after this phase
+};
+
+/// Phase 1: validates cfg, synthesizes the dataset and trains the baseline.
+[[nodiscard]] BaselineState train_baseline(const PipelineConfig& cfg);
+
+/// Phase 2: Algorithm 1 from `baseline` (read-only), then the per-layer
+/// tolerance analysis. Throws ContractViolation unless `baseline` was built
+/// for cfg's baseline_training_key.
+[[nodiscard]] TrainedState train_fault_aware(const PipelineConfig& cfg,
+                                             const BaselineState& baseline);
 
 /// Offline half of the artifact/serve split: everything a long-lived server
 /// needs to run classification at ONE deployed operating point, captured
@@ -208,6 +274,15 @@ struct ArtifactState {
 /// only, so a protected configuration would be served unprotected.
 [[nodiscard]] PipelineReport run_pipeline(const PipelineConfig& cfg,
                                           ArtifactState* artifact);
+
+/// Phase 3: the baseline energy reference, the per-voltage sweep and the
+/// knob search over `trained` (read-only, so concurrent sweeps may share
+/// it), with an optional artifact capture as in run_pipeline. Throws
+/// ContractViolation unless `trained` was built for cfg's
+/// fault_training_key.
+[[nodiscard]] PipelineReport run_sweep(const PipelineConfig& cfg,
+                                       const TrainedState& trained,
+                                       ArtifactState* artifact = nullptr);
 
 /// Burst request arrival period seen by the DRAM: the accelerator consumes
 /// one 32 B weight burst per MAC-array pass, slightly slower than the bus

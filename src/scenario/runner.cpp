@@ -2,6 +2,10 @@
 
 #include <array>
 #include <charconv>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <optional>
 
 #include "common/contracts.hpp"
 #include "common/json.hpp"
@@ -211,15 +215,178 @@ void write_report(json::Writer& w, const Scenario& s,
   w.end_object();
 }
 
+/// The training memo of one run_scenarios call. Rows whose configs share a
+/// core::baseline_training_key share one baseline entry; rows that share a
+/// core::fault_training_key share one Algorithm-1 entry. Each entry trains
+/// once and is freed when the last row (or Algorithm-1 entry) reading it
+/// has finished. Workers pull tasks through next(), readiest first: the
+/// sweep of a row whose training is done, then Algorithm 1 on a trained
+/// baseline, then a new baseline — finished states are consumed and freed
+/// before new ones pile up.
+class TrainingMemo {
+ public:
+  enum class Kind : std::uint8_t { kBaseline, kFaultTraining, kSweep };
+  struct Task {
+    Kind kind;
+    std::size_t index;  ///< entry index (training tasks) or row index
+  };
+
+  TrainingMemo(const std::vector<Scenario>& scenarios,
+               std::vector<ScenarioResult>& results)
+      : results_(results), row_entry_(scenarios.size()),
+        row_started_(scenarios.size(), false), rows_left_(scenarios.size()) {
+    std::map<std::string, std::size_t> baseline_index, trained_index;
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      cfgs_.push_back(scenarios[i].pipeline_config());
+      const auto [b, new_baseline] = baseline_index.try_emplace(
+          core::baseline_training_key(cfgs_[i]), baselines_.size());
+      if (new_baseline) baselines_.emplace_back(i, 0);
+      const auto [f, new_trained] = trained_index.try_emplace(
+          core::fault_training_key(cfgs_[i]), trained_.size());
+      if (new_trained) {
+        trained_.emplace_back(i, b->second);
+        ++baselines_[b->second].users;
+      }
+      row_entry_[i] = f->second;
+      ++trained_[f->second].users;
+    }
+  }
+
+  /// The next task to run, blocking while every remaining one waits on a
+  /// training in flight; nullopt once all rows are started or after fail().
+  std::optional<Task> next() {
+    std::unique_lock<std::mutex> lock(mu_);
+    std::optional<Task> task;
+    ready_.wait(lock, [&] {
+      if (failed_ || rows_left_ == 0) return true;
+      task = take_ready();
+      return task.has_value();
+    });
+    return task;
+  }
+
+  /// Runs `task` (outside the lock: a state read here is done, and it is
+  /// not freed before this task, one of its users, finishes).
+  void run(const Task& task) {
+    switch (task.kind) {
+      case Kind::kBaseline: {
+        auto& e = baselines_[task.index];
+        auto state = core::train_baseline(cfgs_[e.owner]);
+        const std::lock_guard<std::mutex> lock(mu_);
+        e.state.emplace(std::move(state));
+        e.phase = Phase::kDone;
+        ready_.notify_all();
+        return;
+      }
+      case Kind::kFaultTraining: {
+        auto& e = trained_[task.index];
+        auto& parent = baselines_[e.parent];
+        auto state = core::train_fault_aware(cfgs_[e.owner], *parent.state);
+        const std::lock_guard<std::mutex> lock(mu_);
+        e.state.emplace(std::move(state));
+        e.phase = Phase::kDone;
+        if (--parent.users == 0) parent.state.reset();
+        ready_.notify_all();
+        return;
+      }
+      case Kind::kSweep: {
+        const std::size_t i = task.index;
+        auto& e = trained_[row_entry_[i]];
+        core::PipelineReport report = core::run_sweep(cfgs_[i], *e.state);
+        // The training ran once, on its first row's clock.
+        core::PhaseTimings& t = report.timings;
+        t.fault_training_shared = e.owner != i;
+        t.train_shared = baselines_[e.parent].owner != i;
+        if (t.train_shared) t.train_ns = 0.0;
+        if (t.fault_training_shared) t.fault_training_ns = 0.0;
+        t.total_ns = t.train_ns + t.fault_training_ns + t.sweep_ns;
+        results_[i].report = std::move(report);
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (--e.users == 0) e.state.reset();
+        return;
+      }
+    }
+  }
+
+  /// Stops handing out tasks and wakes every waiting worker.
+  void fail() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    failed_ = true;
+    ready_.notify_all();
+  }
+
+ private:
+  enum class Phase : std::uint8_t { kWaiting, kRunning, kDone };
+  template <class State>
+  struct Entry {
+    Entry(std::size_t owner_row, std::size_t parent_entry)
+        : owner(owner_row), parent(parent_entry) {}
+    std::size_t owner;       ///< lowest row index naming the key
+    std::size_t parent;      ///< Algorithm-1 entries: their baseline entry
+    std::size_t users = 0;   ///< readers that have not finished yet
+    Phase phase = Phase::kWaiting;
+    std::optional<State> state;
+  };
+
+  /// Marks the readiest task started and returns it; nullopt when every
+  /// remaining task waits on a training in flight. Needs mu_ held.
+  std::optional<Task> take_ready() {
+    for (std::size_t i = 0; i < row_entry_.size(); ++i)
+      if (!row_started_[i] && trained_[row_entry_[i]].phase == Phase::kDone) {
+        row_started_[i] = true;
+        --rows_left_;
+        return Task{Kind::kSweep, i};
+      }
+    for (std::size_t f = 0; f < trained_.size(); ++f)
+      if (trained_[f].phase == Phase::kWaiting &&
+          baselines_[trained_[f].parent].phase == Phase::kDone) {
+        trained_[f].phase = Phase::kRunning;
+        return Task{Kind::kFaultTraining, f};
+      }
+    for (std::size_t b = 0; b < baselines_.size(); ++b)
+      if (baselines_[b].phase == Phase::kWaiting) {
+        baselines_[b].phase = Phase::kRunning;
+        return Task{Kind::kBaseline, b};
+      }
+    return std::nullopt;
+  }
+
+  std::vector<ScenarioResult>& results_;
+  std::vector<core::PipelineConfig> cfgs_;
+  std::vector<std::size_t> row_entry_;  ///< row -> its trained_ entry
+
+  /// Guards the members below and each entry's users, phase and state
+  /// (owner and parent never change after construction).
+  std::mutex mu_;
+  std::condition_variable ready_;  ///< a training finished, or fail()
+  std::vector<Entry<core::BaselineState>> baselines_;
+  std::vector<Entry<core::TrainedState>> trained_;
+  std::vector<bool> row_started_;
+  std::size_t rows_left_;
+  bool failed_ = false;
+};
+
 }  // namespace
 
 std::vector<ScenarioResult> run_scenarios(
     const std::vector<Scenario>& scenarios) {
   for (const auto& s : scenarios) s.validate();
   std::vector<ScenarioResult> results(scenarios.size());
-  parallel_for(scenarios.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < scenarios.size(); ++i)
     results[i].scenario = scenarios[i];
-    results[i].report = core::run_pipeline(scenarios[i].pipeline_config());
+  // As many workers as rows (capped by the pool), as before the memo: a
+  // one-row batch runs on the caller, so its phases fan out across the
+  // pool; in a larger batch each worker drains the memo's tasks.
+  TrainingMemo memo(scenarios, results);
+  parallel_for(scenarios.size(), [&](std::size_t) {
+    while (const auto task = memo.next()) {
+      try {
+        memo.run(*task);
+      } catch (...) {
+        memo.fail();
+        throw;
+      }
+    }
   });
   return results;
 }

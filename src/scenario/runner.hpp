@@ -8,6 +8,11 @@
 // SPARKXD_THREADS setting. Nested pipeline parallelism runs inline on the
 // scenario's worker (see common/parallel.hpp).
 //
+// Within one call, each distinct core::baseline_training_key trains its
+// baseline once and each distinct core::fault_training_key runs Algorithm 1
+// once; every row naming the key sweeps that shared state. The states live
+// only inside the call and are freed after their last reader.
+//
 // Two serializations are provided:
 //  * to_json      — the full report (schema "sparkxd-report-v1", see README)
 //  * digest       — a compact fixed-precision key=value rendering of the
@@ -28,8 +33,12 @@ struct ScenarioResult {
   core::PipelineReport report;
 };
 
-/// Runs every scenario through core::run_pipeline, in parallel across
-/// scenarios. Results come back in input order.
+/// Runs every scenario through the phases of core::run_pipeline, in
+/// parallel across scenarios, training once per distinct training key.
+/// Each result is byte-identical to a solo run_pipeline of its scenario;
+/// only its timings differ, marking the phases it shared with an earlier
+/// row (core::PhaseTimings). Results come back in input order. The first
+/// error any row throws is rethrown after the workers stop.
 [[nodiscard]] std::vector<ScenarioResult> run_scenarios(
     const std::vector<Scenario>& scenarios);
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -163,6 +164,11 @@ void Server::accept_loop() {
       ::close(fd);
       continue;
     }
+    // Replies are small single writes: with Nagle on, a reply queued while
+    // the previous one is unacknowledged waits for the peer's (possibly
+    // delayed) ACK, pinning latency to the client's ACK timer.
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     live_conns_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>(fd);
     {

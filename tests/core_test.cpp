@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -390,6 +391,207 @@ TEST(Pipeline, ArtifactCaptureRejectsEcc) {
   cfg.ecc = {error::EccKind::kSecded, 64, 0};
   ArtifactState artifact;
   EXPECT_THROW((void)run_pipeline(cfg, &artifact), ContractViolation);
+}
+
+/// One named config edit for the key-coverage tests.
+struct ConfigEdit {
+  const char* field;
+  void (*apply)(PipelineConfig&);
+};
+
+/// The smallest step away from a float, so a key that rounds is caught.
+template <class T>
+T bump(T v) {
+  return std::nextafter(v, std::numeric_limits<T>::max());
+}
+
+TEST(PipelineKeys, EveryFieldTheBaselinePhaseReadsChangesBothKeys) {
+  const ConfigEdit edits[] = {
+      {"task", [](PipelineConfig& c) { c.task = data::Task::kFashion; }},
+      {"train_samples", [](PipelineConfig& c) { ++c.train_samples; }},
+      {"test_samples", [](PipelineConfig& c) { ++c.test_samples; }},
+      {"seed", [](PipelineConfig& c) { ++c.seed; }},
+      {"baseline_epochs", [](PipelineConfig& c) { ++c.baseline_epochs; }},
+      {"n_inputs", [](PipelineConfig& c) { ++c.network.n_inputs; }},
+      {"n_neurons", [](PipelineConfig& c) { ++c.network.n_neurons; }},
+      {"hidden_neurons",
+       [](PipelineConfig& c) { c.network.hidden_neurons = {48}; }},
+      {"timesteps", [](PipelineConfig& c) { ++c.network.timesteps; }},
+      {"dt_ms", [](PipelineConfig& c) { c.network.dt_ms = bump(c.network.dt_ms); }},
+      {"max_rate",
+       [](PipelineConfig& c) { c.network.max_rate = bump(c.network.max_rate); }},
+      {"norm_target", [](PipelineConfig& c) {
+         c.network.norm_target = bump(c.network.norm_target);
+       }},
+      {"network.seed", [](PipelineConfig& c) { ++c.network.seed; }},
+      {"engine",
+       [](PipelineConfig& c) { c.network.engine = snn::EngineKind::kEventFx; }},
+      {"lif.v_rest",
+       [](PipelineConfig& c) { c.network.lif.v_rest = bump(c.network.lif.v_rest); }},
+      {"lif.v_reset", [](PipelineConfig& c) {
+         c.network.lif.v_reset = bump(c.network.lif.v_reset);
+       }},
+      {"lif.v_thresh", [](PipelineConfig& c) {
+         c.network.lif.v_thresh = bump(c.network.lif.v_thresh);
+       }},
+      {"lif.tau_m_ms", [](PipelineConfig& c) {
+         c.network.lif.tau_m_ms = bump(c.network.lif.tau_m_ms);
+       }},
+      {"lif.refractory_steps",
+       [](PipelineConfig& c) { ++c.network.lif.refractory_steps; }},
+      {"lif.theta_plus", [](PipelineConfig& c) {
+         c.network.lif.theta_plus = bump(c.network.lif.theta_plus);
+       }},
+      {"lif.tau_theta_ms", [](PipelineConfig& c) {
+         c.network.lif.tau_theta_ms = bump(c.network.lif.tau_theta_ms);
+       }},
+      {"lif.inhibition", [](PipelineConfig& c) {
+         c.network.lif.inhibition = bump(c.network.lif.inhibition);
+       }},
+      {"lif.winner_take_all", [](PipelineConfig& c) {
+         c.network.lif.winner_take_all = !c.network.lif.winner_take_all;
+       }},
+      {"lif.compete_at_inference", [](PipelineConfig& c) {
+         c.network.lif.compete_at_inference =
+             !c.network.lif.compete_at_inference;
+       }},
+      {"stdp.eta",
+       [](PipelineConfig& c) { c.network.stdp.eta = bump(c.network.stdp.eta); }},
+      {"stdp.x_target", [](PipelineConfig& c) {
+         c.network.stdp.x_target = bump(c.network.stdp.x_target);
+       }},
+      {"stdp.tau_pre_ms", [](PipelineConfig& c) {
+         c.network.stdp.tau_pre_ms = bump(c.network.stdp.tau_pre_ms);
+       }},
+      {"stdp.w_min",
+       [](PipelineConfig& c) { c.network.stdp.w_min = bump(c.network.stdp.w_min); }},
+      {"stdp.w_max",
+       [](PipelineConfig& c) { c.network.stdp.w_max = bump(c.network.stdp.w_max); }},
+  };
+  const PipelineConfig base;
+  for (const ConfigEdit& e : edits) {
+    PipelineConfig cfg = base;
+    e.apply(cfg);
+    EXPECT_NE(baseline_training_key(cfg), baseline_training_key(base))
+        << e.field;
+    EXPECT_NE(fault_training_key(cfg), fault_training_key(base)) << e.field;
+  }
+}
+
+TEST(PipelineKeys, EveryFieldOnlyAlgorithm1ReadsChangesOnlyItsKey) {
+  const ConfigEdit edits[] = {
+      {"ber_stages",
+       [](PipelineConfig& c) { c.fault_training.ber_stages.back() = 2e-3; }},
+      {"ber_stages.size",
+       [](PipelineConfig& c) { c.fault_training.ber_stages.pop_back(); }},
+      {"epochs_per_stage",
+       [](PipelineConfig& c) { ++c.fault_training.epochs_per_stage; }},
+      {"accuracy_bound", [](PipelineConfig& c) {
+         c.fault_training.accuracy_bound = bump(c.fault_training.accuracy_bound);
+       }},
+      {"eval_trials", [](PipelineConfig& c) { ++c.fault_training.eval_trials; }},
+      {"weight_clip", [](PipelineConfig& c) {
+         c.fault_training.weight_clip = bump(c.fault_training.weight_clip);
+       }},
+      {"calibrate_under_errors", [](PipelineConfig& c) {
+         c.fault_training.calibrate_under_errors =
+             !c.fault_training.calibrate_under_errors;
+       }},
+      {"geometry.channels", [](PipelineConfig& c) { ++c.geometry.channels; }},
+      {"geometry.ranks_per_channel",
+       [](PipelineConfig& c) { ++c.geometry.ranks_per_channel; }},
+      {"geometry.chips_per_rank",
+       [](PipelineConfig& c) { ++c.geometry.chips_per_rank; }},
+      {"geometry.banks_per_chip",
+       [](PipelineConfig& c) { ++c.geometry.banks_per_chip; }},
+      {"geometry.subarrays_per_bank",
+       [](PipelineConfig& c) { ++c.geometry.subarrays_per_bank; }},
+      {"geometry.rows_per_subarray",
+       [](PipelineConfig& c) { ++c.geometry.rows_per_subarray; }},
+      {"geometry.columns_per_row",
+       [](PipelineConfig& c) { ++c.geometry.columns_per_row; }},
+      {"geometry.column_bytes",
+       [](PipelineConfig& c) { ++c.geometry.column_bytes; }},
+      {"geometry.burst_columns",
+       [](PipelineConfig& c) { ++c.geometry.burst_columns; }},
+      {"subarray_sigma",
+       [](PipelineConfig& c) { c.subarray_sigma = bump(c.subarray_sigma); }},
+      {"error_model.kind", [](PipelineConfig& c) {
+         c.error_model.kind = error::ErrorModelKind::kModel1Bitline;
+       }},
+      {"error_model.p1",
+       [](PipelineConfig& c) { c.error_model.p1 = bump(c.error_model.p1); }},
+      {"error_model.p0",
+       [](PipelineConfig& c) { c.error_model.p0 = bump(c.error_model.p0); }},
+      {"error_model.stripe_sigma", [](PipelineConfig& c) {
+         c.error_model.stripe_sigma = bump(c.error_model.stripe_sigma);
+       }},
+      {"retention.enabled",
+       [](PipelineConfig& c) { c.error_model.retention.enabled = true; }},
+      {"retention.interval_multiplier", [](PipelineConfig& c) {
+         auto& r = c.error_model.retention;
+         r.interval_multiplier = bump(r.interval_multiplier);
+       }},
+      {"retention.median_decades", [](PipelineConfig& c) {
+         auto& r = c.error_model.retention;
+         r.median_decades = bump(r.median_decades);
+       }},
+      {"retention.sigma_decades", [](PipelineConfig& c) {
+         auto& r = c.error_model.retention;
+         r.sigma_decades = bump(r.sigma_decades);
+       }},
+  };
+  const PipelineConfig base;
+  for (const ConfigEdit& e : edits) {
+    PipelineConfig cfg = base;
+    e.apply(cfg);
+    EXPECT_EQ(baseline_training_key(cfg), baseline_training_key(base))
+        << e.field;
+    EXPECT_NE(fault_training_key(cfg), fault_training_key(base)) << e.field;
+  }
+}
+
+TEST(PipelineKeys, SweepOnlyFieldsChangeNeitherKey) {
+  const ConfigEdit edits[] = {
+      {"salp", [](PipelineConfig& c) { c.salp = true; }},
+      {"refresh",
+       [](PipelineConfig& c) { c.refresh = dram::RefreshPolicy::reduced(8.0); }},
+      {"ecc", [](PipelineConfig& c) { c.ecc = {error::EccKind::kSecded, 64, 0}; }},
+      {"voltages", [](PipelineConfig& c) { c.voltages = {1.250, 1.025}; }},
+      {"layer_knobs", [](PipelineConfig& c) { c.layer_knobs.enabled = true; }},
+  };
+  const PipelineConfig base;
+  for (const ConfigEdit& e : edits) {
+    PipelineConfig cfg = base;
+    e.apply(cfg);
+    EXPECT_EQ(baseline_training_key(cfg), baseline_training_key(base))
+        << e.field;
+    EXPECT_EQ(fault_training_key(cfg), fault_training_key(base)) << e.field;
+  }
+}
+
+TEST(Pipeline, PhasesRejectAStateTrainedForAnotherKey) {
+  // A phase state is only valid under the key it was trained for.
+  PipelineConfig cfg;
+  cfg.network.n_neurons = 25;
+  cfg.train_samples = 60;
+  cfg.test_samples = 30;
+  cfg.baseline_epochs = 1;
+  cfg.fault_training.ber_stages = {1e-5, 1e-3};
+  cfg.voltages = {1.250, 1.025};
+  const BaselineState baseline = train_baseline(cfg);
+  PipelineConfig other_seed = cfg;
+  ++other_seed.seed;
+  EXPECT_THROW((void)train_fault_aware(other_seed, baseline),
+               ContractViolation);
+  const TrainedState trained = train_fault_aware(cfg, baseline);
+  PipelineConfig other_stages = cfg;
+  other_stages.fault_training.ber_stages = {1e-4, 1e-3};
+  EXPECT_THROW((void)run_sweep(other_stages, trained), ContractViolation);
+  // A sweep-only change reuses the state.
+  PipelineConfig salp = cfg;
+  salp.salp = true;
+  EXPECT_NO_THROW((void)run_sweep(salp, trained));
 }
 
 TEST(PipelineConfig_, ValidateRejectsBadVoltageGrids) {

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -512,23 +513,39 @@ TEST_P(BatchVsSolo, BatchRunIsByteIdenticalToSoloPipelineRuns) {
   // Differential determinism: run_scenarios on a BATCH must produce exactly
   // the results of running each scenario alone through core::run_pipeline —
   // each scenario is fully self-seeded, so batch fan-out, worker
-  // scheduling, and neighbouring scenarios must not leak into any result.
-  // Checked at 1 and 8 threads via byte-equal JSON and digests.
+  // scheduling, neighbouring scenarios and the batch's shared training
+  // must not leak into any result. Checked at 1 and 8 threads via
+  // byte-equal JSON and digests.
   const ThreadsOverride threads(GetParam());
-  const auto* a = find_scenario("smoke-digits-m0");
-  const auto* b = find_scenario("smoke-digits-deep");
-  const auto* c = find_scenario("smoke-fashion-salp-m1-refresh");
-  ASSERT_TRUE(a != nullptr && b != nullptr && c != nullptr);
-  const std::vector<Scenario> batch_in{*a, *b, *c};
-
-  const auto batch = run_scenarios(batch_in);
-  ASSERT_EQ(batch.size(), batch_in.size());
-  for (std::size_t i = 0; i < batch_in.size(); ++i) {
-    ScenarioResult solo;
-    solo.scenario = batch_in[i];
-    solo.report = core::run_pipeline(batch_in[i].pipeline_config());
-    EXPECT_EQ(digest(batch[i]), digest(solo)) << batch_in[i].name;
-    EXPECT_EQ(to_json({batch[i]}), to_json({solo})) << batch_in[i].name;
+  const std::vector<std::vector<const char*>> batches = {
+      // No two rows share a training key.
+      {"smoke-digits-m0", "smoke-digits-deep",
+       "smoke-fashion-salp-m1-refresh"},
+      // Rows that share training: -ecc reuses -m0's Algorithm 1; -refresh
+      // reuses its baseline under another retention; -event-fx runs
+      // another engine (own baseline); -knobs reuses -deep's baseline.
+      {"smoke-digits-m0", "smoke-digits-ecc", "smoke-digits-m0-refresh",
+       "smoke-digits-event-fx", "smoke-digits-deep", "smoke-digits-knobs"},
+      // A duplicated row.
+      {"smoke-digits-m0", "smoke-digits-m0"},
+  };
+  std::map<std::string, ScenarioResult> solo;
+  for (const auto& names : batches) {
+    std::vector<Scenario> batch_in;
+    for (const char* name : names) {
+      const auto* s = find_scenario(name);
+      ASSERT_NE(s, nullptr) << name;
+      batch_in.push_back(*s);
+      if (solo.count(name) == 0)
+        solo[name] = {*s, core::run_pipeline(s->pipeline_config())};
+    }
+    const auto batch = run_scenarios(batch_in);
+    ASSERT_EQ(batch.size(), batch_in.size());
+    for (std::size_t i = 0; i < batch_in.size(); ++i) {
+      const ScenarioResult& one = solo.at(batch_in[i].name);
+      EXPECT_EQ(digest(batch[i]), digest(one)) << batch_in[i].name;
+      EXPECT_EQ(to_json({batch[i]}), to_json({one})) << batch_in[i].name;
+    }
   }
 }
 
@@ -695,6 +712,67 @@ TEST(Runner, WallClockTimingsNeverReachJsonOrDigest) {
   EXPECT_EQ(to_json({r}).find("timing"), std::string::npos);
   EXPECT_EQ(digest(r).find("timing"), std::string::npos);
 }
+
+TEST(Runner, RowsThatReuseTrainingAreMarkedSharedNotTimed) {
+  // A phase a row reused from an earlier row of the batch ran once, on
+  // that row's clock: the reusing row reports it shared with zero time.
+  const ThreadsOverride threads("4");
+  std::vector<Scenario> batch;
+  for (const char* name :
+       {"smoke-digits-m0", "smoke-digits-ecc", "smoke-digits-m0-refresh"})
+    batch.push_back(*find_scenario(name));
+  const auto r = run_scenarios(batch);
+  const core::PhaseTimings& owner = r[0].report.timings;
+  EXPECT_FALSE(owner.train_shared);
+  EXPECT_FALSE(owner.fault_training_shared);
+  EXPECT_GT(owner.train_ns, 0.0);
+  EXPECT_GT(owner.fault_training_ns, 0.0);
+  // -ecc: same Algorithm-1 key as -m0, so both training phases shared.
+  const core::PhaseTimings& ecc = r[1].report.timings;
+  EXPECT_TRUE(ecc.train_shared);
+  EXPECT_TRUE(ecc.fault_training_shared);
+  EXPECT_EQ(ecc.train_ns, 0.0);
+  EXPECT_EQ(ecc.fault_training_ns, 0.0);
+  EXPECT_GT(ecc.sweep_ns, 0.0);
+  EXPECT_EQ(ecc.total_ns, ecc.sweep_ns);
+  // -m0-refresh: same baseline, its own Algorithm 1 (other retention).
+  const core::PhaseTimings& refresh = r[2].report.timings;
+  EXPECT_TRUE(refresh.train_shared);
+  EXPECT_FALSE(refresh.fault_training_shared);
+  EXPECT_EQ(refresh.train_ns, 0.0);
+  EXPECT_GT(refresh.fault_training_ns, 0.0);
+  EXPECT_EQ(refresh.total_ns, refresh.fault_training_ns + refresh.sweep_ns);
+}
+
+class SharedTrainingFailure
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SharedTrainingFailure, ReachesTheCallerWithoutHangingFollowers) {
+  // Three rows share one training whose Algorithm-1 phase throws (the
+  // module is too small for the weights, which validation does not check):
+  // the error must reach the caller, and the rows waiting on that training
+  // must give up instead of blocking the batch.
+  const ThreadsOverride threads(GetParam());
+  Scenario tiny = *find_scenario("smoke-digits-m0");
+  tiny.geometry.banks_per_chip = 1;
+  tiny.geometry.subarrays_per_bank = 1;
+  tiny.geometry.rows_per_subarray = 1;
+  tiny.geometry.columns_per_row = 8;
+  std::vector<Scenario> batch(3, tiny);
+  batch[1].name += "-b";
+  batch[2].name += "-c";
+  batch[2].ecc = {error::EccKind::kSecded, 64, 0};
+  try {
+    (void)run_scenarios(batch);
+    FAIL() << "the shared training's error was swallowed";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("too small"), std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, SharedTrainingFailure,
+                         ::testing::Values("1", "8"));
 
 TEST(Runner, RejectsInvalidScenario) {
   Scenario bad = *find_scenario("smoke-digits-m0");
