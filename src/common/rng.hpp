@@ -10,6 +10,7 @@
 // given seed is fully specified here, independent of the standard library.
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -74,6 +75,20 @@ class Rng {
   /// Uniform double in [0, 1) with 53-bit resolution.
   double uniform() noexcept {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
+
+  /// Integer form of the test `uniform() < p`, for hot loops that compare
+  /// one draw against a fixed probability: with t = uniform_threshold(p),
+  ///     uniform() < p   <=>   (next_u64() >> 11) < t,
+  /// consuming the same single draw. Exact for every p in [0, 1]:
+  /// uniform() is n * 2^-53 for the 53-bit integer n = next_u64() >> 11;
+  /// p * 2^53 is an exact double (a power-of-two scale of a value <= 1
+  /// neither overflows nor underflows), and for an integer n,
+  /// n < p * 2^53 holds exactly when n < ceil(p * 2^53) <= 2^53.
+  [[nodiscard]] static std::uint64_t uniform_threshold(double p) {
+    SPARKXD_REQUIRE(p >= 0.0 && p <= 1.0,
+                    "uniform threshold probability out of [0,1]");
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
   }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.

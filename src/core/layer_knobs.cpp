@@ -181,14 +181,13 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
     c.energy_nj = eval.energy_nj;
     c.meets_floor = feasible;
     // Weak cells the chosen cadence actually produces in the layer's rows
-    // (deterministic per-cell enumeration; consumes no Rng).
+    // (deterministic per-cell retention count; consumes no Rng).
     error::ErrorModelSpec spec = in.error_model;
     spec.retention.enabled = true;
     spec.retention.interval_multiplier = c.refresh_multiplier;
-    const auto injector = error::ErrorInjector::for_weights(
-        in.geometry, *in.profile, spec, places[ki][l], in.layer_weights[l],
-        in.seed, std::max(c.module_ber, 1e-12));
-    c.retention_weak_cells = injector.retention_candidate_count();
+    c.retention_weak_cells = error::count_retention_cells(
+        in.geometry, *in.profile, spec, places[ki][l],
+        in.layer_weights[l] * sizeof(float), in.seed);
     return c;
   };
 

@@ -43,6 +43,42 @@ void PipelineConfig::validate() const {
   error_model.retention.validate();
   ecc.validate();
   layer_knobs.validate();
+
+  // Capacity: the sweep's Algorithm-2 placement retires whole rows per
+  // layer, so even with every subarray relaxed to safe, layer l needs
+  // ceil(chunks_l / bursts_per_row) rows of its own. Its stored footprint
+  // includes the configured code's check words (an escalated code stores
+  // at least as many). Checked here so an undersized module fails before
+  // any training rather than in the first placement after it.
+  const std::uint64_t bursts_per_row =
+      geometry.columns_per_row / geometry.burst_columns;
+  SPARKXD_REQUIRE(bursts_per_row > 0,
+                  "a DRAM row must hold at least one burst");
+  const std::uint64_t module_rows =
+      geometry.total_subarrays() * geometry.rows_per_subarray;
+  const auto scheme = ecc.enabled() ? error::make_ecc_scheme(ecc) : nullptr;
+  std::uint64_t rows_used = 0;
+  for (std::size_t l = 0; l < network.n_layers(); ++l) {
+    const std::size_t weights = network.layer_weight_count(l);
+    const std::size_t stored =
+        weights +
+        (scheme ? error::ecc_check_float_equiv(*scheme, weights) : 0);
+    const std::uint64_t rows =
+        (mapping::chunks_for_weights(geometry, stored) + bursts_per_row - 1) /
+        bursts_per_row;
+    const auto too_small = [&] {
+      std::ostringstream msg;
+      msg << "DRAM module too small for the weight data: layer " << l
+          << " stores " << stored << " words (" << weights
+          << " weights + check words) in " << rows << " rows of "
+          << geometry.row_bytes() << " B, but only "
+          << module_rows - rows_used << " of the module's " << module_rows
+          << " rows remain";
+      return msg.str();
+    };
+    SPARKXD_REQUIRE(rows <= module_rows - rows_used, too_small());
+    rows_used += rows;
+  }
 }
 
 EccStreamOverhead ecc_stream_overhead(const error::EccScheme& scheme,
@@ -369,19 +405,32 @@ PipelineReport run_sweep(const PipelineConfig& cfg,
     report.baseline_time_ns += base_te.stats.total_time_ns;
   }
 
-  // --- Per-voltage: Algorithm 2 mapping + accuracy + energy. ---------------
+  // --- Per-voltage ECC assignment + Algorithm 2 placement. ----------------
   // Voltages are independent given the trained model, so the sweep runs
-  // concurrently: each voltage forks its own Rng stream from the sweep index
-  // and fills its own report slot, keeping the report bit-identical at every
-  // SPARKXD_THREADS setting.
-  report.per_voltage.resize(cfg.voltages.size());
-  const Rng sweep_rng = trained.rng;
-  parallel_for(cfg.voltages.size(), [&](std::size_t vi) {
-    const double v = cfg.voltages[vi];
-    Rng vrng = sweep_rng.fork(vi);
-    VoltageReport row;
-    row.v_supply = v;
-    row.module_ber = ber_model.ber(v);
+  // concurrently: each voltage fills its own slot, and below forks its own
+  // Rng stream from the sweep index, keeping the report bit-identical at
+  // every SPARKXD_THREADS setting. Placement comes first, for every
+  // voltage, so the weak-cell enumeration can see the whole grid. A plan
+  // keeps only its payload chunks' addresses, not the placement: placing
+  // is cheap and deterministic, so the voltage's worker places again below
+  // rather than the sweep holding every voltage's placement at once.
+  struct VoltagePlan {
+    double module_ber = 0.0;
+    std::vector<std::size_t> scheme_idx;
+    std::vector<double> place_th;
+    std::vector<std::size_t> stored_weights;
+    std::vector<std::uint64_t> payload_chunks;  ///< dram::encode_linear
+  };
+  const auto place = [&](const VoltagePlan& plan) {
+    return mapping::sparkxd_placement_layers(cfg.geometry, profile,
+                                             plan.module_ber, plan.place_th,
+                                             plan.stored_weights);
+  };
+  const std::size_t n_v = cfg.voltages.size();
+  std::vector<VoltagePlan> plans(n_v);
+  parallel_for(n_v, [&](std::size_t vi) {
+    VoltagePlan& plan = plans[vi];
+    plan.module_ber = ber_model.ber(cfg.voltages[vi]);
 
     // Per-layer ECC scheme assignment: walk the escalation ladder to the
     // weakest code whose tolerable raw BER (at this layer's learned
@@ -390,21 +439,21 @@ PipelineReport run_sweep(const PipelineConfig& cfg,
     // placement has to relax capacity. The code's absorption also raises
     // the layer's effective placement threshold, and the check bits join
     // the layer's stored footprint (placement + streamed traffic).
-    std::vector<std::size_t> scheme_idx(n_layers, 0);
-    std::vector<double> place_th = report.layer_ber_th;
-    std::vector<std::size_t> stored_weights = layer_weights;
+    plan.scheme_idx.assign(n_layers, 0);
+    plan.place_th = report.layer_ber_th;
+    plan.stored_weights = layer_weights;
     if (ecc_on) {
       for (std::size_t l = 0; l < n_layers; ++l) {
         std::size_t k = 0;
         while (k + 1 < ecc_ladder.size() &&
                ecc_ladder[k]->tolerable_raw_ber(report.layer_ber_th[l]) <
-                   row.module_ber)
+                   plan.module_ber)
           ++k;
-        scheme_idx[l] = k;
-        place_th[l] = std::max(
+        plan.scheme_idx[l] = k;
+        plan.place_th[l] = std::max(
             report.layer_ber_th[l],
             ecc_ladder[k]->tolerable_raw_ber(report.layer_ber_th[l]));
-        stored_weights[l] =
+        plan.stored_weights[l] =
             layer_weights[l] +
             error::ecc_check_float_equiv(*ecc_ladder[k], layer_weights[l]);
       }
@@ -414,9 +463,56 @@ PipelineReport run_sweep(const PipelineConfig& cfg,
     // safe subarrays at ITS tolerance threshold; if a layer's learned
     // BER_th is too strict to fit at this operating BER, the placement
     // relaxes it to the smallest feasible threshold and reports that
-    // honestly (LayerPlacement::capacity_relaxed).
-    const auto placement = mapping::sparkxd_placement_layers(
-        cfg.geometry, profile, row.module_ber, place_th, stored_weights);
+    // honestly (LayerPlacement::capacity_relaxed). The plan records the
+    // payload chunks only: the injectors target the weights, not the ECC
+    // check words stored after them.
+    const auto placement = place(plan);
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      const auto& chunks = placement[l].chunks;
+      const std::size_t used = std::min(
+          chunks.size(),
+          mapping::chunks_for_weights(cfg.geometry, layer_weights[l]));
+      for (std::size_t c = 0; c < used; ++c)
+        plan.payload_chunks.push_back(
+            dram::encode_linear(cfg.geometry, chunks[c]));
+    }
+  });
+
+  // --- Weak cells of every chunk the grid's payloads use, enumerated once. --
+  // Placements at neighbouring voltages revisit the same physical chunks,
+  // and a cell's weakness score does not depend on the voltage or layer
+  // mapped onto it, so each distinct chunk is scanned once at the grid's
+  // largest BER (error::ChunkCandidateTable). The table lives for this
+  // sweep only.
+  const auto injector_ber = [](double module_ber) {
+    return std::max(module_ber, 1e-12);
+  };
+  double table_ber = 0.0;
+  std::vector<std::uint64_t> grid_chunks;
+  for (VoltagePlan& plan : plans) {
+    table_ber = std::max(table_ber, injector_ber(plan.module_ber));
+    grid_chunks.insert(grid_chunks.end(), plan.payload_chunks.begin(),
+                       plan.payload_chunks.end());
+    std::vector<std::uint64_t>().swap(plan.payload_chunks);
+  }
+  const error::ChunkCandidateTable weak_cells(cfg.geometry, profile,
+                                              cfg.error_model,
+                                              std::move(grid_chunks),
+                                              cfg.seed, table_ber);
+
+  // --- Per-voltage: accuracy + energy. -------------------------------------
+  report.per_voltage.resize(n_v);
+  const Rng sweep_rng = trained.rng;
+  parallel_for(n_v, [&](std::size_t vi) {
+    const double v = cfg.voltages[vi];
+    Rng vrng = sweep_rng.fork(vi);
+    const VoltagePlan& plan = plans[vi];
+    const auto& scheme_idx = plan.scheme_idx;
+    const auto& stored_weights = plan.stored_weights;
+    const auto placement = place(plan);
+    VoltageReport row;
+    row.v_supply = v;
+    row.module_ber = plan.module_ber;
     for (const auto& lp : placement) {
       row.capacity_relaxed |= lp.capacity_relaxed;
       row.safe_subarrays = std::max(row.safe_subarrays, lp.safe_subarrays);
@@ -427,9 +523,9 @@ PipelineReport run_sweep(const PipelineConfig& cfg,
     std::vector<error::ErrorInjector> eval_injectors;
     eval_injectors.reserve(n_layers);
     for (std::size_t l = 0; l < n_layers; ++l)
-      eval_injectors.push_back(error::ErrorInjector::for_weights(
-          cfg.geometry, profile, cfg.error_model, placement[l].chunks,
-          layer_weights[l], cfg.seed, std::max(row.module_ber, 1e-12)));
+      eval_injectors.emplace_back(weak_cells, placement[l].chunks,
+                                  layer_weights[l] * sizeof(float),
+                                  injector_ber(row.module_ber));
     LayerInjectors eval_ptrs;
     for (const auto& inj : eval_injectors) eval_ptrs.push_back(&inj);
     // With ECC on, the injectors above target the payload words only

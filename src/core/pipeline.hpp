@@ -76,7 +76,10 @@ struct PipelineConfig {
   /// message on the first problem found. Checks sample counts, the BER
   /// stage schedule (non-empty, positive, strictly ascending), the voltage
   /// grid (non-empty, finite, positive, strictly descending — the paper's
-  /// 1.325 → 1.025 V presentation order), and the DRAM geometry.
+  /// 1.325 → 1.025 V presentation order), the DRAM geometry, and that the
+  /// module holds every layer's weights plus the configured code's check
+  /// words at the sweep's row granularity (the message names the layer and
+  /// both sizes).
   void validate() const;
 };
 
@@ -280,6 +283,15 @@ struct ArtifactState {
 /// it), with an optional artifact capture as in run_pipeline. Throws
 /// ContractViolation unless `trained` was built for cfg's
 /// fault_training_key.
+///
+/// The sweep runs in three steps: every voltage's ECC assignment and
+/// Algorithm-2 placement; one error::ChunkCandidateTable over the union of
+/// their payload chunks, each distinct physical chunk scanned once at the
+/// grid's largest max(module_ber, 1e-12); then, per voltage, each layer's
+/// injector built from that table, the Monte-Carlo accuracy and the weight
+/// stream. The table is freed when the sweep returns. The injectors equal
+/// per-voltage ErrorInjector::for_weights builds candidate for candidate,
+/// so the report is unchanged by the sharing.
 [[nodiscard]] PipelineReport run_sweep(const PipelineConfig& cfg,
                                        const TrainedState& trained,
                                        ArtifactState* artifact = nullptr);

@@ -38,6 +38,174 @@ double stripe_multiplier(std::uint64_t seed, std::uint64_t id, double sigma) {
   return rng.lognormal(-0.5 * sigma * sigma, sigma);
 }
 
+/// Slack on the division-free pre-filter `u < threshold * m * kCutSlack`:
+/// every cell with u / m < threshold passes it (the three roundings involved
+/// are each within 2^-53 relative), and the exact score test follows.
+constexpr double kCutSlack = 1.0 + 0x1.0p-40;
+
+}  // namespace
+
+/// The one weak-cell enumeration kernel: the per-seed constants of a
+/// (geometry, profile, spec, seed) reality and the scan of one physical
+/// burst chunk. Both ErrorInjector's enumerating constructor and
+/// ChunkCandidateTable scan through it, and count_retention_cells shares its
+/// retention predicate. A cell's result depends only on these constants and
+/// the chunk's address — not on which payload byte maps onto it.
+class CellEnumerator {
+ public:
+  CellEnumerator(const dram::Geometry& geometry,
+                 const SubarrayProfile& profile, const ErrorModelSpec& spec,
+                 std::uint64_t seed, double max_ber)
+      : g_(geometry),
+        profile_(profile),
+        spec_(spec),
+        // Stripe multipliers (Model-1 / Model-2) are recomputed on demand
+        // from a deterministic per-stripe hash: the flat stripe id is the
+        // same index a full `n_banks x bitlines` / `n_banks x rows` table
+        // would use, so the values are identical to an eager table without
+        // the millions of lognormal draws for stripes never touched.
+        bitline_count_(std::uint64_t{geometry.columns_per_row} *
+                       geometry.column_bytes * 8),
+        bitline_seed_(hash_combine(seed, 0xB17ULL)),
+        wordline_seed_(hash_combine(seed, 0x30BDULL)),
+        cell_seed_(hash_combine(seed, 0xCE11ULL)),
+        retention_seed_(hash_combine(seed, 0x4E7E417ULL)),
+        threshold_(2.0 * max_ber) {
+    SPARKXD_REQUIRE(max_ber >= 0.0 && max_ber <= 0.5,
+                    "max BER outside the modelled range");
+    SPARKXD_REQUIRE(spec.p0 >= 0.0 && spec.p0 <= 1.0 && spec.p1 >= 0.0 &&
+                        spec.p1 <= 1.0,
+                    "Model-3 flip probabilities must be probabilities");
+    spec.retention.validate();
+  }
+
+  /// Retention-failure probability of every cell of the chunk at `chunk`
+  /// (a chunk lives in one subarray); 0 with the retention axis off.
+  [[nodiscard]] double retention_probability(
+      const dram::Address& chunk) const {
+    return spec_.retention.enabled
+               ? retention_fail_probability(
+                     spec_.retention,
+                     profile_.weakness(subarray_id(g_, chunk)))
+               : 0.0;
+  }
+
+  /// The retention predicate: the cell leaks past the effective refresh
+  /// window. Never true at p_retention = 0 (the hash is >= 0), so callers
+  /// may skip the hash there.
+  [[nodiscard]] bool retention_weak(std::uint64_t cell,
+                                    double p_retention) const noexcept {
+    return cell_score(retention_seed_, cell) < p_retention;
+  }
+
+  /// Where the byte at offset `offset` of a chunk lives: its column word,
+  /// its first bit within that word, and that bit's cell coordinate (the
+  /// byte's 8 cells are consecutive coordinates, so one index serves all).
+  struct ByteCells {
+    std::uint32_t column;
+    std::uint32_t bit0;
+    std::uint64_t cell0;
+  };
+  [[nodiscard]] ByteCells byte_cells(const dram::Address& chunk,
+                                     std::uint32_t offset) const {
+    dram::Address addr = chunk;
+    addr.column = chunk.column + offset / g_.column_bytes;
+    const std::uint32_t bit0 = (offset % g_.column_bytes) * 8;
+    return {addr.column, bit0, cell_bit_index(g_, addr, bit0)};
+  }
+
+  /// Appends the candidates among bytes [0, n_bytes) of the chunk at
+  /// `chunk`, with byte_index = base + offset, in ascending (byte, bit)
+  /// order.
+  void scan(const dram::Address& chunk, std::size_t n_bytes,
+            std::uint32_t base,
+            std::vector<ErrorInjector::Candidate>& out) const {
+    const double sub_weak = profile_.weakness(subarray_id(g_, chunk));
+    const double p_retention = retention_probability(chunk);
+    const bool retention_possible = p_retention > 0.0;
+    const std::uint64_t bank = bank_id(g_, chunk);
+    // A chunk lives in one row, so its wordline multiplier is one stripe.
+    const double wordline_mult =
+        spec_.kind == ErrorModelKind::kModel2Wordline
+            ? stripe_multiplier(wordline_seed_,
+                                bank * g_.rows_per_bank() +
+                                    bank_row(g_, chunk),
+                                spec_.stripe_sigma)
+            : 1.0;
+    const std::uint32_t column_bits = g_.column_bytes * 8;
+    for (std::uint32_t offset = 0; offset < n_bytes; ++offset) {
+      const ByteCells byte = byte_cells(chunk, offset);
+      const auto byte_index = static_cast<std::uint32_t>(base + offset);
+      for (std::uint32_t bit = 0; bit < 8; ++bit) {
+        const std::uint64_t cell = byte.cell0 + bit;
+        // Retention failure takes precedence: a cell that leaks past the
+        // effective refresh window is weak regardless of voltage, and must
+        // not also appear as a voltage candidate (a duplicate would let two
+        // flips cancel).
+        if (retention_possible && retention_weak(cell, p_retention)) {
+          out.push_back({byte_index, static_cast<std::uint8_t>(bit),
+                         ErrorInjector::kRetentionScore});
+          continue;
+        }
+        // Per-cell weakness multiplier under the active model.
+        double m = sub_weak;
+        switch (spec_.kind) {
+          case ErrorModelKind::kModel0Uniform:
+          case ErrorModelKind::kModel3DataDependent:
+            break;  // uniform within the subarray
+          case ErrorModelKind::kModel1Bitline:
+            m *= stripe_multiplier(
+                bitline_seed_,
+                bank * bitline_count_ +
+                    std::uint64_t{byte.column} * column_bits + byte.bit0 +
+                    bit,
+                spec_.stripe_sigma);
+            break;
+          case ErrorModelKind::kModel2Wordline:
+            m *= wordline_mult;
+            break;
+        }
+        if (m <= 0.0) continue;
+        const double u = cell_score(cell_seed_, cell);
+        if (!(u < threshold_ * m * kCutSlack)) continue;
+        const double score = u / m;
+        if (score < threshold_)
+          out.push_back({byte_index, static_cast<std::uint8_t>(bit), score});
+      }
+    }
+  }
+
+ private:
+  const dram::Geometry& g_;
+  const SubarrayProfile& profile_;
+  const ErrorModelSpec& spec_;
+  std::uint64_t bitline_count_;
+  std::uint64_t bitline_seed_;
+  std::uint64_t wordline_seed_;
+  std::uint64_t cell_seed_;
+  std::uint64_t retention_seed_;
+  double threshold_;
+};
+
+namespace {
+
+/// Number of placement chunks that carry payload bytes.
+std::size_t payload_chunks(const dram::Geometry& g,
+                           const ChunkPlacement& placement,
+                           std::size_t n_payload_bytes) {
+  const std::size_t chunk_bytes = g.burst_bytes();
+  SPARKXD_REQUIRE(placement.size() * chunk_bytes >= n_payload_bytes,
+                  "placement does not cover the payload");
+  return std::min(placement.size(),
+                  (n_payload_bytes + chunk_bytes - 1) / chunk_bytes);
+}
+
+/// Bytes of chunk `c` that lie inside an `n_payload_bytes` payload.
+std::size_t chunk_payload_bytes(std::size_t c, std::size_t chunk_bytes,
+                                std::size_t n_payload_bytes) {
+  return std::min(chunk_bytes, n_payload_bytes - c * chunk_bytes);
+}
+
 }  // namespace
 
 ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
@@ -47,117 +215,63 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
                              std::size_t n_payload_bytes, std::uint64_t seed,
                              double max_ber)
     : max_ber_(max_ber), n_payload_bytes_(n_payload_bytes), spec_(spec) {
-  SPARKXD_REQUIRE(max_ber >= 0.0 && max_ber <= 0.5,
-                  "max BER outside the modelled range");
-  const std::size_t chunk_bytes = geometry.burst_bytes();
-  SPARKXD_REQUIRE(placement.size() * chunk_bytes >= n_payload_bytes,
-                  "placement does not cover the payload");
-  SPARKXD_REQUIRE(spec.p0 >= 0.0 && spec.p0 <= 1.0 && spec.p1 >= 0.0 &&
-                      spec.p1 <= 1.0,
-                  "Model-3 flip probabilities must be probabilities");
-  spec.retention.validate();
-  const bool retention_on = spec.retention.enabled;
-  if (n_payload_bytes == 0 || (max_ber == 0.0 && !retention_on)) return;
-
-  // Stripe multipliers (Model-1 / Model-2) are recomputed on demand from a
-  // deterministic per-stripe hash: the flat stripe id is the same index a
-  // full `n_banks x bitlines` / `n_banks x rows` table would use, so the
-  // values are identical to an eager table without the millions of
-  // lognormal draws for stripes the payload never touches.
-  const std::uint64_t bitline_count =
-      std::uint64_t{geometry.columns_per_row} * geometry.column_bytes * 8;
-  const std::uint64_t bitline_seed = hash_combine(seed, 0xB17ULL);
-  const std::uint64_t wordline_seed = hash_combine(seed, 0x30BDULL);
-
-  const std::uint64_t cell_seed = hash_combine(seed, 0xCE11ULL);
-  const std::uint64_t retention_seed = hash_combine(seed, 0x4E7E417ULL);
-  const double threshold = 2.0 * max_ber;
-  const std::uint32_t column_bits = geometry.column_bytes * 8;
+  const CellEnumerator kernel(geometry, profile, spec, seed, max_ber);
+  const std::size_t n_chunks =
+      payload_chunks(geometry, placement, n_payload_bytes);
+  if (n_payload_bytes == 0 || (max_ber == 0.0 && !spec.retention.enabled))
+    return;
 
   // Candidate enumeration is pure per chunk (stateless hashes, no shared
   // Rng), so chunks are scanned concurrently into per-range buffers;
   // concatenating the buffers in range order restores ascending chunk order
   // regardless of the thread count.
-  const std::size_t n_chunks = std::min(
-      placement.size(), (n_payload_bytes + chunk_bytes - 1) / chunk_bytes);
+  const std::size_t chunk_bytes = geometry.burst_bytes();
   const std::size_t n_parts = parallel_chunk_count(n_chunks);
   std::vector<std::vector<Candidate>> parts(n_parts);
-  const auto enumerate = [&](std::size_t chunk_begin,
-                             std::size_t chunk_end, std::size_t slot) {
-    std::vector<Candidate>& out = parts[slot];
-    for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-      const std::size_t first_byte = c * chunk_bytes;
-      const std::size_t last_byte =
-          std::min(first_byte + chunk_bytes, n_payload_bytes);
-      dram::Address addr = placement[c];
-      const std::uint64_t sub_id = subarray_id(geometry, addr);
-      const double sub_weak = profile.weakness(sub_id);
-      // A chunk lives in one subarray, so its retention-failure probability
-      // is a single per-chunk constant.
-      const double p_retention =
-          retention_on ? retention_fail_probability(spec.retention, sub_weak)
-                       : 0.0;
-      const std::uint64_t bank = bank_id(geometry, addr);
-      const std::uint32_t brow = bank_row(geometry, addr);
-      // A chunk lives in one row, so its wordline multiplier is one stripe.
-      const double wordline_mult =
-          spec.kind == ErrorModelKind::kModel2Wordline
-              ? stripe_multiplier(wordline_seed,
-                                  bank * geometry.rows_per_bank() + brow,
-                                  spec.stripe_sigma)
-              : 1.0;
-
-      for (std::size_t b = first_byte; b < last_byte; ++b) {
-        const auto offset = static_cast<std::uint32_t>(b - first_byte);
-        addr.column = placement[c].column + offset / geometry.column_bytes;
-        const std::uint32_t byte_in_column =
-            (offset % geometry.column_bytes) * 8;
-        for (std::uint32_t bit = 0; bit < 8; ++bit) {
-          const std::uint32_t bit_in_column = byte_in_column + bit;
-          const std::uint64_t cell =
-              cell_bit_index(geometry, addr, bit_in_column);
-          // Retention failure takes precedence: a cell that leaks past the
-          // effective refresh window is weak regardless of voltage, and
-          // must not also appear as a voltage candidate (a duplicate would
-          // let two flips cancel).
-          if (retention_on &&
-              cell_score(retention_seed, cell) < p_retention) {
-            out.push_back({static_cast<std::uint32_t>(b),
-                           static_cast<std::uint8_t>(bit), kRetentionScore});
-            continue;
-          }
-          // Per-cell weakness multiplier under the active model.
-          double m = sub_weak;
-          switch (spec.kind) {
-            case ErrorModelKind::kModel0Uniform:
-            case ErrorModelKind::kModel3DataDependent:
-              break;  // uniform within the subarray
-            case ErrorModelKind::kModel1Bitline:
-              m *= stripe_multiplier(
-                  bitline_seed,
-                  bank * bitline_count +
-                      std::uint64_t{addr.column} * column_bits +
-                      bit_in_column,
-                  spec.stripe_sigma);
-              break;
-            case ErrorModelKind::kModel2Wordline:
-              m *= wordline_mult;
-              break;
-          }
-          if (m <= 0.0) continue;
-          const double score = cell_score(cell_seed, cell) / m;
-          if (score < threshold)
-            out.push_back({static_cast<std::uint32_t>(b),
-                           static_cast<std::uint8_t>(bit), score});
-        }
-      }
-    }
-  };
   // Pass n_parts explicitly: the chunk count must match the buffer sizing
   // above even if the thread knob changes between the two reads.
-  parallel_for_chunks(n_chunks, enumerate, n_parts);
+  parallel_for_chunks(
+      n_chunks,
+      [&](std::size_t begin, std::size_t end, std::size_t slot) {
+        for (std::size_t c = begin; c < end; ++c)
+          kernel.scan(placement[c],
+                      chunk_payload_bytes(c, chunk_bytes, n_payload_bytes),
+                      static_cast<std::uint32_t>(c * chunk_bytes),
+                      parts[slot]);
+      },
+      n_parts);
   for (const auto& part : parts)
     candidates_.insert(candidates_.end(), part.begin(), part.end());
+  sort_candidates();
+}
+
+ErrorInjector::ErrorInjector(const ChunkCandidateTable& table,
+                             const ChunkPlacement& placement,
+                             std::size_t n_payload_bytes, double max_ber)
+    : max_ber_(max_ber), n_payload_bytes_(n_payload_bytes),
+      spec_(table.spec_) {
+  SPARKXD_REQUIRE(max_ber >= 0.0 && max_ber <= table.max_ber_,
+                  "BER exceeds the chunk table's enumerated maximum");
+  const std::size_t n_chunks =
+      payload_chunks(table.geometry_, placement, n_payload_bytes);
+  const std::size_t chunk_bytes = table.geometry_.burst_bytes();
+  const double threshold = 2.0 * max_ber;
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    const std::size_t base = c * chunk_bytes;
+    const std::size_t used = chunk_payload_bytes(c, chunk_bytes,
+                                                 n_payload_bytes);
+    // Rebase the chunk's cells onto this payload, dropping the bytes past
+    // a partially used last chunk and the cells not weak at max_ber.
+    for (const Candidate& cell : table.chunk(placement[c]))
+      if (cell.byte_index < used && cell.score < threshold)
+        candidates_.push_back(
+            {static_cast<std::uint32_t>(base + cell.byte_index), cell.bit,
+             cell.score});
+  }
+  sort_candidates();
+}
+
+void ErrorInjector::sort_candidates() {
   // Sort by score so injection at lower BERs touches a stable prefix; break
   // score ties by cell position so the order is fully specified.
   std::sort(candidates_.begin(), candidates_.end(),
@@ -172,6 +286,89 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
   while (retention_candidates_ < candidates_.size() &&
          candidates_[retention_candidates_].score < 0.0)
     ++retention_candidates_;
+}
+
+ChunkCandidateTable::ChunkCandidateTable(const dram::Geometry& geometry,
+                                         const SubarrayProfile& profile,
+                                         const ErrorModelSpec& spec,
+                                         std::vector<std::uint64_t> chunk_addrs,
+                                         std::uint64_t seed, double max_ber)
+    : geometry_(geometry),
+      spec_(spec),
+      max_ber_(max_ber),
+      keys_(std::move(chunk_addrs)) {
+  const CellEnumerator kernel(geometry, profile, spec, seed, max_ber);
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  keys_.shrink_to_fit();
+
+  // Scan every distinct chunk whole, concurrently (the kernel is pure);
+  // per-range buffers concatenated in range order keep address order.
+  const std::size_t n = keys_.size();
+  const std::size_t chunk_bytes = geometry.burst_bytes();
+  const std::size_t n_parts = parallel_chunk_count(n);
+  std::vector<std::vector<ErrorInjector::Candidate>> parts(n_parts);
+  std::vector<std::uint32_t> counts(n, 0);
+  parallel_for_chunks(
+      n,
+      [&](std::size_t begin, std::size_t end, std::size_t slot) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t before = parts[slot].size();
+          kernel.scan(dram::decode_linear(geometry, keys_[i]), chunk_bytes, 0,
+                      parts[slot]);
+          counts[i] = static_cast<std::uint32_t>(parts[slot].size() - before);
+        }
+      },
+      n_parts);
+  begin_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) begin_[i + 1] = begin_[i] + counts[i];
+  cells_.reserve(begin_[n]);
+  for (const auto& p : parts) cells_.insert(cells_.end(), p.begin(), p.end());
+}
+
+std::span<const ErrorInjector::Candidate> ChunkCandidateTable::chunk(
+    const dram::Address& a) const {
+  const std::uint64_t key = dram::encode_linear(geometry_, a);
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  SPARKXD_REQUIRE(it != keys_.end() && *it == key,
+                  "chunk was not enumerated by this table");
+  const auto i = static_cast<std::size_t>(it - keys_.begin());
+  return {cells_.data() + begin_[i], cells_.data() + begin_[i + 1]};
+}
+
+std::size_t count_retention_cells(const dram::Geometry& geometry,
+                                  const SubarrayProfile& profile,
+                                  const ErrorModelSpec& spec,
+                                  const ChunkPlacement& placement,
+                                  std::size_t n_payload_bytes,
+                                  std::uint64_t seed) {
+  const CellEnumerator kernel(geometry, profile, spec, seed, 0.0);
+  const std::size_t n_chunks =
+      payload_chunks(geometry, placement, n_payload_bytes);
+  if (!spec.retention.enabled) return 0;
+  const std::size_t chunk_bytes = geometry.burst_bytes();
+  const std::size_t n_parts = parallel_chunk_count(n_chunks);
+  std::vector<std::size_t> parts(n_parts, 0);
+  parallel_for_chunks(
+      n_chunks,
+      [&](std::size_t begin, std::size_t end, std::size_t slot) {
+        for (std::size_t c = begin; c < end; ++c) {
+          const double p = kernel.retention_probability(placement[c]);
+          if (!(p > 0.0)) continue;
+          const std::size_t used =
+              chunk_payload_bytes(c, chunk_bytes, n_payload_bytes);
+          for (std::uint32_t offset = 0; offset < used; ++offset) {
+            const std::uint64_t cell0 =
+                kernel.byte_cells(placement[c], offset).cell0;
+            for (std::uint32_t bit = 0; bit < 8; ++bit)
+              parts[slot] += kernel.retention_weak(cell0 + bit, p);
+          }
+        }
+      },
+      n_parts);
+  std::size_t total = 0;
+  for (const std::size_t n : parts) total += n;
+  return total;
 }
 
 ErrorInjector ErrorInjector::for_weights(const dram::Geometry& geometry,

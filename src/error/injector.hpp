@@ -41,7 +41,9 @@
 // pre-enumerated once per placement up to a maximum BER (concurrently
 // across chunks — the enumeration is stateless hashing, see
 // common/parallel) and sorted by score; the cells weak at any lower BER are
-// a prefix of that list.
+// a prefix of that list. One kernel scans a chunk; a voltage sweep runs it
+// once per distinct physical chunk through a ChunkCandidateTable (below)
+// and builds each (voltage, layer) injector from that table.
 
 #include <cstdint>
 #include <span>
@@ -166,6 +168,8 @@ class FrozenInjection {
   std::size_t n_payload_bytes_ = 0;
 };
 
+class ChunkCandidateTable;
+
 class ErrorInjector {
  public:
   /// Enumerates weak-cell candidates for `n_payload_bytes` bytes laid out
@@ -175,6 +179,16 @@ class ErrorInjector {
                 const SubarrayProfile& profile, const ErrorModelSpec& spec,
                 ChunkPlacement placement, std::size_t n_payload_bytes,
                 std::uint64_t seed, double max_ber);
+
+  /// Builds the injector for `placement` from a table that enumerated
+  /// every chunk the payload uses, at max_ber <= the table's: each chunk's
+  /// cells are rebased onto the payload, bytes past a partially used last
+  /// chunk are dropped, and the cells weak at max_ber are kept and sorted.
+  /// Equal, candidate for candidate, to the enumerating constructor with
+  /// the table's geometry, profile, spec and seed.
+  ErrorInjector(const ChunkCandidateTable& table,
+                const ChunkPlacement& placement, std::size_t n_payload_bytes,
+                double max_ber);
 
   /// Convenience: payload = n_weights FP32 values.
   static ErrorInjector for_weights(const dram::Geometry& geometry,
@@ -222,12 +236,22 @@ class ErrorInjector {
     return n_payload_bytes_;
   }
 
- private:
+  /// One weak-cell candidate of the enumerated table.
   struct Candidate {
     std::uint32_t byte_index;  ///< payload byte holding the weak cell
     std::uint8_t bit;          ///< 0 (LSB) .. 7 within the byte
     double score;              ///< weak at BER b iff score < 2*b
+
+    friend bool operator==(const Candidate&, const Candidate&) = default;
   };
+
+  /// The enumerated candidates, sorted ascending by (score, byte, bit).
+  [[nodiscard]] std::span<const Candidate> candidates() const noexcept {
+    return candidates_;
+  }
+
+ private:
+  friend class CellEnumerator;
 
   /// Score assigned to retention-failure candidates: below every BER
   /// threshold, so they are weak at any injection BER (they sort to the
@@ -239,11 +263,69 @@ class ErrorInjector {
   /// this is the one place that enforces ber <= max_ber.
   [[nodiscard]] std::span<const Candidate> weak_prefix(double ber) const;
 
+  /// Sorts candidates_ by (score, byte, bit) and counts the retention run.
+  void sort_candidates();
+
   std::vector<Candidate> candidates_;  ///< sorted ascending by score
   std::size_t retention_candidates_ = 0;
   double max_ber_;
   std::size_t n_payload_bytes_;
   ErrorModelSpec spec_;
 };
+
+/// Weak-cell candidates of whole physical burst chunks, keyed by the
+/// chunk's DRAM address, enumerated once at BERs up to `max_ber`.
+///
+/// A cell's score depends only on the seed, the cell, its subarray, its
+/// stripe and the error model — never on which layer's payload byte, or
+/// which supply voltage's placement, maps onto it. So a voltage sweep whose
+/// placements revisit the same chunks (a 784x64 layer's 5-voltage grid
+/// visits 31,360 chunks, 8,192 of them distinct) enumerates each distinct
+/// chunk once, at the grid's largest BER, and builds every (voltage, layer)
+/// injector from the table (ErrorInjector's table constructor): the weak
+/// sets are nested across BER, so filtering `score < 2*ber` recovers each
+/// voltage's candidates exactly. core::run_sweep builds one per sweep and
+/// frees it when the sweep ends. The scan is the same kernel the
+/// enumerating ErrorInjector constructor uses.
+class ChunkCandidateTable {
+ public:
+  /// Enumerates every distinct chunk in `chunk_addrs` — the chunks' linear
+  /// byte addresses (dram::encode_linear), duplicates allowed — all
+  /// `burst_bytes` bytes of each, concurrently across chunks.
+  ChunkCandidateTable(const dram::Geometry& geometry,
+                      const SubarrayProfile& profile,
+                      const ErrorModelSpec& spec,
+                      std::vector<std::uint64_t> chunk_addrs,
+                      std::uint64_t seed, double max_ber);
+
+  /// Number of distinct chunks enumerated.
+  [[nodiscard]] std::size_t chunk_count() const noexcept {
+    return keys_.size();
+  }
+
+ private:
+  friend class ErrorInjector;
+
+  /// The candidates of the chunk at `a` (byte_index = offset within the
+  /// chunk), ascending by (byte, bit). Throws for an address not enumerated.
+  [[nodiscard]] std::span<const ErrorInjector::Candidate> chunk(
+      const dram::Address& a) const;
+
+  dram::Geometry geometry_;
+  ErrorModelSpec spec_;
+  double max_ber_;
+  std::vector<std::uint64_t> keys_;  ///< sorted distinct chunk addresses
+  std::vector<std::size_t> begin_;   ///< chunk i's cells: [begin_[i], [i+1])
+  std::vector<ErrorInjector::Candidate> cells_;
+};
+
+/// Number of retention-failure cells in an `n_payload_bytes` payload laid
+/// out through `placement` — ErrorInjector's retention_candidate_count()
+/// for the same inputs, through the same retention predicate, without
+/// scoring the voltage axis or sorting. 0 when spec.retention is disabled.
+[[nodiscard]] std::size_t count_retention_cells(
+    const dram::Geometry& geometry, const SubarrayProfile& profile,
+    const ErrorModelSpec& spec, const ChunkPlacement& placement,
+    std::size_t n_payload_bytes, std::uint64_t seed);
 
 }  // namespace sparkxd::error

@@ -5,6 +5,14 @@
 // A pixel of intensity p in [0,1] emits a spike in each simulation step with
 // probability p * max_rate — a Bernoulli approximation of a Poisson process
 // sampled at dt, which is the standard discrete-time formulation.
+//
+// The per-step draw is one Rng::next_u64 per active pixel, in pixel order,
+// compared in integers: set_image stores t = Rng::uniform_threshold(p) per
+// active pixel, and a pixel spikes iff (next_u64() >> 11) < t — exactly the
+// outcome of `uniform() < p` for the float p (see Rng::uniform_threshold).
+// step() writes every active index and advances the output cursor by that
+// predicate, so the compaction has no data-dependent branch; the spike
+// lists and the Rng stream are those of the floating-point compare.
 
 #include <cstdint>
 #include <vector>
@@ -40,6 +48,7 @@ class PoissonEncoder {
   float max_rate_;
   std::vector<std::uint32_t> active_idx_;  ///< pixels with non-zero intensity
   std::vector<float> active_p_;            ///< their per-step probabilities
+  std::vector<std::uint64_t> active_t_;    ///< uniform_threshold(active_p_)
 };
 
 }  // namespace sparkxd::snn

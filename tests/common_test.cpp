@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <set>
@@ -26,6 +28,32 @@ namespace {
 TEST(Rng, SameSeedSameSequence) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(Rng, UniformThresholdIsTheExactIntegerFormOfTheCompare) {
+  // For every probability, the integer test agrees with uniform() < p on
+  // the 53-bit draws that straddle p * 2^53 — where a rounding slip in the
+  // threshold would show. Covers p = 0 and 1, floats whose p * 2^53 is an
+  // integer, and tiny / arbitrary doubles where it is not.
+  std::vector<double> ps{0.0,    1.0,    0.5,    0.3f,   0.375,
+                         1e-10f, 3e-12f, 1e-30f, 1e-40f, 0x1.0p-53,
+                         0.1,    1.0 / 3.0, std::nextafter(1.0, 0.0)};
+  Rng r(77);
+  for (int i = 0; i < 200; ++i) ps.push_back(r.uniform());
+  const std::uint64_t top = (std::uint64_t{1} << 53) - 1;
+  for (const double p : ps) {
+    const std::uint64_t t = Rng::uniform_threshold(p);
+    const auto lo = static_cast<std::uint64_t>(std::floor(p * 0x1.0p53));
+    for (std::uint64_t n = lo > 1 ? lo - 1 : 0; n <= std::min(lo + 2, top);
+         ++n) {
+      const double u = static_cast<double>(n) * 0x1.0p-53;
+      EXPECT_EQ(u < p, n < t) << "p=" << p << " n=" << n;
+    }
+  }
+  EXPECT_EQ(Rng::uniform_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::uniform_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::uniform_threshold(1e-30), 1u);
+  EXPECT_THROW((void)Rng::uniform_threshold(1.5), ContractViolation);
 }
 
 TEST(Rng, DifferentSeedsDiverge) {

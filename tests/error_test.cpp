@@ -14,6 +14,7 @@
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
+#include "energy/ber_model.hpp"
 #include "error/injector.hpp"
 #include "mapping/mapping.hpp"
 
@@ -507,6 +508,156 @@ TEST(FrozenInjection_, CarriesRetentionCandidatesAtAnyBer) {
   EXPECT_EQ(frozen.size(), 875u);
   expect_known_answer(frozen, f.weights, 16, {},
                       {449, 0xc15f9d35687abc6bULL, 0x31ff0d1943150026ULL});
+}
+
+// ---------------------------------------------------- enumeration known answers
+
+/// FNV-1a over every candidate's (byte, bit, score bits), in table order.
+std::uint64_t candidate_digest(const ErrorInjector& inj) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& c : inj.candidates()) {
+    mix(c.byte_index);
+    mix(c.bit);
+    mix(std::bit_cast<std::uint64_t>(c.score));
+  }
+  return h;
+}
+
+/// 2501 chunks taken every 37th from the END of a long baseline walk, so
+/// chunk order and address order disagree and the placement spans several
+/// subarrays, rows and columns.
+ChunkPlacement strided_placement(const dram::Geometry& g,
+                                 std::size_t n_chunks) {
+  const auto walk = mapping::baseline_placement(
+      g, n_chunks * 37 * g.burst_bytes() / sizeof(float));
+  ChunkPlacement p(n_chunks);
+  for (std::size_t c = 0; c < n_chunks; ++c)
+    p[c] = walk[walk.size() - 1 - c * 37];
+  return p;
+}
+
+struct EnumerationKat {
+  ErrorModelKind kind;
+  bool retention;
+  std::size_t count;
+  std::size_t retention_count;
+  std::uint64_t digest;
+};
+
+TEST(Injector, CandidateTablesMatchKnownAnswers) {
+  // Pinned on the per-bit enumeration the per-chunk kernel replaced: every
+  // model, with and without the retention axis, over a payload whose last
+  // chunk (and last word) is only partly used.
+  const auto g = geom();
+  const SubarrayProfile profile(g, 42);
+  const std::size_t n_bytes = 2500 * 32 + 7;
+  const auto placement = strided_placement(g, 2501);
+  const EnumerationKat kats[] = {
+      {ErrorModelKind::kModel0Uniform, false,
+       7547, 0, 0xd2d897cc6006fd3bULL},
+      {ErrorModelKind::kModel0Uniform, true,
+       9640, 2165, 0xd7785dae147dcd50ULL},
+      {ErrorModelKind::kModel1Bitline, false,
+       7365, 0, 0x5ada1258d4b4761eULL},
+      {ErrorModelKind::kModel1Bitline, true,
+       9460, 2165, 0x89c3aec54b9b19f1ULL},
+      {ErrorModelKind::kModel2Wordline, false,
+       7909, 0, 0x8bdfe4dd4ac49347ULL},
+      {ErrorModelKind::kModel2Wordline, true,
+       10001, 2165, 0xd268ed61517cabf9ULL},
+      {ErrorModelKind::kModel3DataDependent, false,
+       7547, 0, 0xd2d897cc6006fd3bULL},
+      {ErrorModelKind::kModel3DataDependent, true,
+       9640, 2165, 0xd7785dae147dcd50ULL},
+  };
+  for (const auto& kat : kats) {
+    ErrorModelSpec spec;
+    spec.kind = kat.kind;
+    spec.retention.enabled = kat.retention;
+    spec.retention.interval_multiplier = 32.0;
+    const ErrorInjector inj(g, profile, spec, placement, n_bytes, 7, 5e-3);
+    EXPECT_EQ(inj.candidate_count(), kat.count) << to_string(kat.kind);
+    EXPECT_EQ(inj.retention_candidate_count(), kat.retention_count)
+        << to_string(kat.kind);
+    EXPECT_EQ(candidate_digest(inj), kat.digest) << to_string(kat.kind);
+    for (const auto& c : inj.candidates()) ASSERT_LT(c.byte_index, n_bytes);
+  }
+}
+
+TEST(ChunkCandidateTable, SweepInjectorsEqualStandaloneOnes) {
+  // A 5-voltage grid of two-layer Algorithm-2 placements (overlapping across
+  // voltages, each layer's last chunk partly used): every (voltage, layer)
+  // injector built from one table over the union equals the enumerating
+  // build, candidate for candidate, for every model with and without the
+  // retention axis.
+  const auto g = geom();
+  const SubarrayProfile profile(g, 42);
+  const energy::BerModel ber_model;
+  const std::vector<double> voltages{1.325, 1.25, 1.175, 1.1, 1.025};
+  const std::vector<std::size_t> layer_weights{784 * 64 + 3, 64 * 10 + 5};
+  const std::vector<double> thresholds{1e-4, 1e-5};
+  std::vector<std::vector<mapping::LayerPlacement>> places;
+  std::vector<std::uint64_t> all_chunks;  // dram::encode_linear
+  double table_ber = 0.0;
+  for (const double v : voltages) {
+    const double ber = ber_model.ber(v);
+    table_ber = std::max(table_ber, std::max(ber, 1e-12));
+    places.push_back(mapping::sparkxd_placement_layers(
+        g, profile, ber, thresholds, layer_weights));
+    for (const auto& lp : places.back())
+      for (const auto& a : lp.chunks)
+        all_chunks.push_back(dram::encode_linear(g, a));
+  }
+  for (const auto kind :
+       {ErrorModelKind::kModel0Uniform, ErrorModelKind::kModel1Bitline,
+        ErrorModelKind::kModel2Wordline,
+        ErrorModelKind::kModel3DataDependent}) {
+    for (const bool retention : {false, true}) {
+      ErrorModelSpec spec;
+      spec.kind = kind;
+      spec.retention.enabled = retention;
+      spec.retention.interval_multiplier = 16.0;
+      const ChunkCandidateTable table(g, profile, spec, all_chunks, 42,
+                                      table_ber);
+      EXPECT_LT(table.chunk_count(), all_chunks.size())
+          << "placements never overlapped";
+      std::size_t non_empty = 0;
+      for (std::size_t vi = 0; vi < voltages.size(); ++vi) {
+        const double ber = std::max(ber_model.ber(voltages[vi]), 1e-12);
+        for (std::size_t l = 0; l < layer_weights.size(); ++l) {
+          const auto& chunks = places[vi][l].chunks;
+          const auto want = ErrorInjector::for_weights(
+              g, profile, spec, chunks, layer_weights[l], 42, ber);
+          const ErrorInjector got(table, chunks,
+                                  layer_weights[l] * sizeof(float), ber);
+          EXPECT_EQ(got.retention_candidate_count(),
+                    want.retention_candidate_count());
+          EXPECT_EQ(got.payload_bytes(), want.payload_bytes());
+          EXPECT_TRUE(std::ranges::equal(got.candidates(), want.candidates()))
+              << to_string(kind) << (retention ? " +retention" : "")
+              << " voltage " << voltages[vi] << " layer " << l;
+          if (want.candidate_count() > 0) ++non_empty;
+        }
+      }
+      // Not vacuous: the low-voltage pairs carry candidates.
+      EXPECT_GE(non_empty, 4u) << to_string(kind);
+    }
+  }
+  // A table cannot serve a BER above its own, nor a chunk it never saw.
+  std::vector<std::uint64_t> layer1;
+  for (const auto& a : places[0][1].chunks)
+    layer1.push_back(dram::encode_linear(g, a));
+  const ChunkCandidateTable small(g, profile, {}, layer1, 42, 1e-6);
+  EXPECT_THROW(ErrorInjector(small, places[0][1].chunks, 4, 1e-5),
+               ContractViolation);
+  EXPECT_THROW(ErrorInjector(small, places[0][0].chunks, 4, 1e-6),
+               ContractViolation);
 }
 
 // ----------------------------------------------------------------- retention

@@ -11,8 +11,10 @@
 #include "common/contracts.hpp"
 #include "core/layer_knobs.hpp"
 #include "energy/ber_model.hpp"
+#include "error/injector.hpp"
 #include "error/retention.hpp"
 #include "error/subarray_profile.hpp"
+#include "mapping/mapping.hpp"
 #include "test_env_util.hpp"
 
 namespace sparkxd::core {
@@ -60,6 +62,34 @@ void expect_identical(const LayerKnobsReport& a, const LayerKnobsReport& b) {
   EXPECT_EQ(a.uniform.v_supply, b.uniform.v_supply);
   EXPECT_EQ(a.uniform.refresh_multiplier, b.uniform.refresh_multiplier);
   EXPECT_EQ(a.uniform.ecc_scheme, b.uniform.ecc_scheme);
+}
+
+TEST(LayerKnobs, RetentionCountEqualsTheInjectorCountAtEveryRung) {
+  // The search reports each choice's retention-weak cells through the
+  // retention-only count; it must equal what a full injector over the same
+  // region reports, at every rung of the default refresh ladder, for layers
+  // whose last chunk is partly used.
+  const dram::Geometry g = dram::Geometry::lpddr3_4gb();
+  const error::SubarrayProfile profile(g, 42);
+  const std::vector<std::size_t> layer_weights{784 * 64 + 3, 64 * 10 + 5};
+  const auto places = mapping::baseline_placement_layers(g, layer_weights);
+  for (const double m : LayerKnobsConfig{}.refresh_ladder) {
+    error::ErrorModelSpec spec;
+    spec.retention.enabled = true;
+    spec.retention.interval_multiplier = m;
+    for (std::size_t l = 0; l < layer_weights.size(); ++l) {
+      const auto injector = error::ErrorInjector::for_weights(
+          g, profile, spec, places[l], layer_weights[l], 42, 1e-3);
+      EXPECT_EQ(error::count_retention_cells(g, profile, spec, places[l],
+                                             layer_weights[l] * sizeof(float),
+                                             42),
+                injector.retention_candidate_count())
+          << "layer " << l << " x" << m;
+    }
+  }
+  EXPECT_EQ(error::count_retention_cells(g, profile, {}, places[0],
+                                         layer_weights[0] * sizeof(float), 42),
+            0u);
 }
 
 TEST(LayerKnobs, LadderValidation) {

@@ -748,17 +748,14 @@ class SharedTrainingFailure
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SharedTrainingFailure, ReachesTheCallerWithoutHangingFollowers) {
-  // Three rows share one training whose Algorithm-1 phase throws (the
-  // module is too small for the weights, which validation does not check):
-  // the error must reach the caller, and the rows waiting on that training
-  // must give up instead of blocking the batch.
+  // Three rows share one training whose Algorithm-1 phase throws (zero
+  // evaluation trials pass validation and the baseline, then fail the first
+  // stage evaluation): the error must reach the caller, and the rows
+  // waiting on that training must give up instead of blocking the batch.
   const ThreadsOverride threads(GetParam());
-  Scenario tiny = *find_scenario("smoke-digits-m0");
-  tiny.geometry.banks_per_chip = 1;
-  tiny.geometry.subarrays_per_bank = 1;
-  tiny.geometry.rows_per_subarray = 1;
-  tiny.geometry.columns_per_row = 8;
-  std::vector<Scenario> batch(3, tiny);
+  Scenario broken = *find_scenario("smoke-digits-m0");
+  broken.eval_trials = 0;
+  std::vector<Scenario> batch(3, broken);
   batch[1].name += "-b";
   batch[2].name += "-c";
   batch[2].ecc = {error::EccKind::kSecded, 64, 0};
@@ -766,13 +763,54 @@ TEST_P(SharedTrainingFailure, ReachesTheCallerWithoutHangingFollowers) {
     (void)run_scenarios(batch);
     FAIL() << "the shared training's error was swallowed";
   } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("too small"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("evaluation trial"),
+              std::string::npos)
         << e.what();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, SharedTrainingFailure,
                          ::testing::Values("1", "8"));
+
+TEST(Runner, RejectsAnUndersizedModuleBeforeTraining) {
+  // The module holds the raw weights row for row, but not the check words
+  // SECDED adds: validation rejects it (before any training), naming the
+  // layer and both sizes.
+  Scenario s = *find_scenario("smoke-digits-m0");
+  const auto cfg = s.pipeline_config();
+  ASSERT_EQ(cfg.network.n_layers(), 1u);
+  s.geometry.banks_per_chip = 1;
+  s.geometry.subarrays_per_bank = 1;
+  const std::size_t bursts_per_row =
+      s.geometry.columns_per_row / s.geometry.burst_columns;
+  s.geometry.rows_per_subarray = static_cast<std::uint32_t>(
+      (mapping::chunks_for_weights(s.geometry,
+                                   cfg.network.layer_weight_count(0)) +
+       bursts_per_row - 1) /
+      bursts_per_row);
+  EXPECT_NO_THROW(s.validate());
+  s.ecc = {error::EccKind::kSecded, 64, 0};
+  try {
+    s.validate();
+    FAIL() << "an undersized module passed validation";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("too small"), std::string::npos) << what;
+    EXPECT_NE(what.find("layer 0"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(s.geometry.rows_per_subarray) +
+                        " rows remain"),
+              std::string::npos)
+        << what;
+  }
+  // The one-row module the shared-training test used to rely on fails the
+  // same way, through run_scenarios, before training.
+  Scenario tiny = *find_scenario("smoke-digits-m0");
+  tiny.geometry.banks_per_chip = 1;
+  tiny.geometry.subarrays_per_bank = 1;
+  tiny.geometry.rows_per_subarray = 1;
+  tiny.geometry.columns_per_row = 8;
+  EXPECT_THROW((void)run_scenarios({tiny}), ContractViolation);
+}
 
 TEST(Runner, RejectsInvalidScenario) {
   Scenario bad = *find_scenario("smoke-digits-m0");

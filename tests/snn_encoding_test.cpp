@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -37,6 +38,73 @@ TEST(PoissonEncoder, EmpiricalRateMatchesIntensityTimesMaxRate) {
     const double freq = static_cast<double>(counts[i]) / steps;
     const double sigma = std::sqrt(p * (1.0 - p) / steps);
     EXPECT_NEAR(freq, p, 5.0 * sigma + 1e-12) << "pixel " << i;
+  }
+}
+
+/// FNV-1a fold of one value into `h`.
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+struct EncoderKat {
+  std::uint64_t digest;     ///< FNV-1a over every step's spike list
+  std::size_t spikes;       ///< total spikes over all steps
+  std::uint64_t next_draw;  ///< the Rng's next_u64() after the last step
+};
+
+EncoderKat run_encoder_kat(float max_rate, const std::vector<float>& image,
+                           std::uint64_t seed, std::size_t steps) {
+  PoissonEncoder enc(max_rate);
+  enc.set_image(image);
+  Rng rng(seed);
+  std::vector<std::uint32_t> spikes;
+  EncoderKat out{0xcbf29ce484222325ULL, 0, 0};
+  for (std::size_t t = 0; t < steps; ++t) {
+    enc.step(rng, spikes);
+    fnv_mix(out.digest, spikes.size());
+    for (const auto i : spikes) fnv_mix(out.digest, i);
+    out.spikes += spikes.size();
+  }
+  out.next_draw = rng.next_u64();
+  return out;
+}
+
+TEST(PoissonEncoder, SpikeListsMatchKnownAnswers) {
+  // Pinned on the floating-point compare the integer-threshold step
+  // replaced: spike lists and the next Rng draw over a fixed corpus.
+  // A digit-like image (about 40% zero pixels):
+  std::vector<float> digit(784);
+  Rng img(101);
+  for (auto& p : digit)
+    p = img.uniform() < 0.4 ? 0.0f : static_cast<float>(img.uniform());
+  // Edge pixels: p = 1 exactly, p * 2^53 an integer (0.5, 0.375, 0.3f),
+  // and tiny p whose p * 2^53 is not an integer, down to a subnormal.
+  const std::vector<float> edges{1.0f,   0.5f,   0.375f, 0.3f,  0.0f,
+                                 1e-10f, 3e-12f, 1e-30f, 1e-40f, 0.999999f,
+                                 0x1.0p-20f, 0.7f};
+  const struct {
+    float max_rate;
+    const std::vector<float>* image;
+    std::uint64_t seed;
+    EncoderKat want;
+  } cases[] = {
+      {0.30f, &digit, 5,
+       {0xfb9db7882c772b6eULL, 21668, 0xe06af6e714e24919ULL}},
+      {1.00f, &digit, 6,
+       {0x4891eb3a9a9d8ae9ULL, 72977, 0xe9558bd662671158ULL}},
+      {1.00f, &edges, 7,
+       {0x39359d7d0276c20cULL, 1179, 0x5e33d998cb51c8f6ULL}},
+      {0.25f, &edges, 8,
+       {0xaa1b8b12d2180e8eULL, 257, 0xfe14d32757b2b21cULL}},
+  };
+  for (const auto& c : cases) {
+    const auto got = run_encoder_kat(c.max_rate, *c.image, c.seed, 300);
+    EXPECT_EQ(got.digest, c.want.digest) << "seed " << c.seed;
+    EXPECT_EQ(got.spikes, c.want.spikes) << "seed " << c.seed;
+    EXPECT_EQ(got.next_draw, c.want.next_draw) << "seed " << c.seed;
   }
 }
 
