@@ -83,19 +83,24 @@ using LayerInjectors = std::vector<const error::ErrorInjector*>;
                                    std::size_t n_layers);
 
 /// Evaluates a model with every non-null entry of `injectors` corrupting its
-/// layer's weights at `ber`. Averages `trials` fresh error draws; trials run
-/// concurrently (see common/parallel), each with its own Rng substream keyed
-/// off one draw from `rng`, so the result is deterministic in `rng`'s state
-/// and identical at every thread count. The hot path is delta-based: the
-/// flip candidates at `ber` are frozen once (ErrorInjector::freeze) and
-/// shared across all trials, each worker owns one corruptible weight copy
-/// plus a reused snn::InferenceState, and between trials only the recorded
-/// flips are reverted instead of restoring a full snapshot — bit-identical
-/// to the snapshot loop (tests/core_test.cpp proves it against a reference
-/// implementation). `net` is untouched (const — required for the concurrent
-/// per-voltage sweep to share one trained model). `weight_clip` is the
-/// load-time range clip applied to corrupted values. Trial t's injection
-/// stream is split across layers by layer_inject_rng.
+/// layer's weights at `ber`. Averages `trials` fresh error draws, each with
+/// its own Rng substreams keyed off one draw from `rng`, so the result is
+/// deterministic in `rng`'s state and identical at every thread count. The
+/// work is the flat (trial, sample) index space, split into contiguous
+/// chunks that run concurrently (see common/parallel), so even a single
+/// trial spreads over every worker; a chunk may start or end mid-trial.
+/// Trial t's samples draw exactly what one snn::evaluate per trial would
+/// draw. The hot path is delta-based: the flip candidates at `ber` are
+/// frozen once (ErrorInjector::freeze) and shared by every chunk; a chunk
+/// owns one corruptible weight copy plus one snn::InferenceState, injects a
+/// trial's flips when it enters that trial and reverts only those flips
+/// when it leaves instead of restoring a full snapshot — bit-identical to
+/// the snapshot loop (tests/core_test.cpp proves it against a reference
+/// implementation). Throws ContractViolation on an empty `test` set. `net`
+/// is untouched (const — required for the concurrent per-voltage sweep to
+/// share one trained model). `weight_clip` is the load-time range clip
+/// applied to corrupted values. Trial t's injection stream is split across
+/// layers by layer_inject_rng.
 ///
 /// This is evaluate_corrupted_ecc with every layer's scheme null.
 [[nodiscard]] double evaluate_corrupted(const snn::Network& net,
@@ -133,7 +138,8 @@ struct EccScrubTotals {
 /// evaluate_corrupted — which is this function with every scheme null.
 /// When `totals` is non-null it is resized to n_layers and filled with
 /// per-layer scrub counts summed over trials, deterministically
-/// (trial-ascending reduction).
+/// (trial-ascending reduction; every chunk of a trial scrubs the same flips,
+/// and the chunk holding the trial's sample 0 reports them).
 [[nodiscard]] double evaluate_corrupted_ecc(
     const snn::Network& net, const snn::NeuronLabels& labels,
     const LayerInjectors& injectors, const LayerEcc& ecc, double ber,

@@ -10,21 +10,29 @@ PoissonEncoder::PoissonEncoder(float max_rate) : max_rate_(max_rate) {
 }
 
 void PoissonEncoder::set_image(const std::vector<float>& image) {
-  active_idx_.clear();
-  active_p_.clear();
-  active_t_.clear();
-  for (std::size_t i = 0; i < image.size(); ++i) {
+  // One pass sized once to the image: range-check every pixel and compact
+  // the active ones without a data-dependent branch (always write, advance
+  // the cursor by `pixel > 0`); then only the active entries get their
+  // integer threshold.
+  const std::size_t n = image.size();
+  active_idx_.resize(n);
+  active_p_.resize(n);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = image[i];
     // Validate BEFORE the activity filter: a negative or NaN pixel fails
     // `> 0.0f` and used to slip through silently as "inactive".
-    SPARKXD_REQUIRE(image[i] >= 0.0f && image[i] <= 1.0f,
+    SPARKXD_REQUIRE(v >= 0.0f && v <= 1.0f,
                     "pixel intensities must be in [0,1]");
-    if (image[i] > 0.0f) {
-      active_idx_.push_back(static_cast<std::uint32_t>(i));
-      const float p = image[i] * max_rate_;
-      active_p_.push_back(p);
-      active_t_.push_back(Rng::uniform_threshold(p));
-    }
+    active_idx_[k] = static_cast<std::uint32_t>(i);
+    active_p_[k] = v * max_rate_;
+    k += static_cast<std::size_t>(v > 0.0f);
   }
+  active_idx_.resize(k);
+  active_p_.resize(k);
+  active_t_.resize(k);
+  for (std::size_t j = 0; j < k; ++j)
+    active_t_[j] = Rng::uniform_threshold(active_p_[j]);
 }
 
 void PoissonEncoder::step(Rng& rng,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <ranges>
 
 #include "common/contracts.hpp"
 
@@ -17,6 +18,34 @@ constexpr float kFxScale = 65536.0f;
 
 [[nodiscard]] std::size_t mask_words(std::size_t bits) noexcept {
   return (bits + 63) / 64;
+}
+
+/// Rows the learning kernel sums together. Each row of a block keeps its
+/// own float accumulator and adds its terms in the same order as a one-row
+/// loop, so blocking only interleaves eight independent addition chains
+/// (latency-bound one at a time) and every sum stays bitwise identical.
+constexpr std::size_t kRowBlock = 8;
+
+/// out[n] = the sum of w[n * ni + i] over `inputs`, in iteration order and
+/// starting from 0.0f, for every row n < nn (an empty `inputs` writes
+/// zeros). Blocks of kRowBlock rows first, then the tail rows one by one.
+template <class Inputs>
+void sum_rows(const float* w, std::size_t ni, std::size_t nn,
+              const Inputs& inputs, float* out) {
+  std::size_t n = 0;
+  for (; n + kRowBlock <= nn; n += kRowBlock) {
+    const float* rows = w + n * ni;
+    float acc[kRowBlock] = {};
+    for (const std::size_t i : inputs)
+      for (std::size_t k = 0; k < kRowBlock; ++k) acc[k] += rows[k * ni + i];
+    std::copy(acc, acc + kRowBlock, out + n);
+  }
+  for (; n < nn; ++n) {
+    const float* row = w + n * ni;
+    float acc = 0.0f;
+    for (const std::size_t i : inputs) acc += row[i];
+    out[n] = acc;
+  }
 }
 }  // namespace
 
@@ -101,12 +130,13 @@ bool Network::transpose_synced() const noexcept {
 void Network::normalize_rows() {
   for (Layer& lay : layers_) {
     const std::size_t ni = lay.n_in;
+    std::vector<float> sums(lay.n_out);
+    sum_rows(lay.w.data(), ni, lay.n_out, std::views::iota(std::size_t{0}, ni),
+             sums.data());
     for (std::size_t n = 0; n < lay.n_out; ++n) {
+      if (sums[n] <= 0.0f) continue;
+      const float scale = cfg_.norm_target / sums[n];
       float* row = lay.w.data() + n * ni;
-      float sum = 0.0f;
-      for (std::size_t i = 0; i < ni; ++i) sum += row[i];
-      if (sum <= 0.0f) continue;
-      const float scale = cfg_.norm_target / sum;
       for (std::size_t i = 0; i < ni; ++i) row[i] *= scale;
     }
     lay.wt_synced = false;
@@ -147,29 +177,22 @@ std::vector<std::uint32_t> Network::process(const std::vector<float>& image,
       if (learn) lay.traces.step(*spikes);
 
       // Synaptic drive: per-neuron sum over this step's spiking inputs.
-      std::fill(lay.current.begin(), lay.current.end(), 0.0f);
-      if (!spikes->empty()) {
-        const std::size_t ni = lay.n_in;
+      if (learn) {
+        // Training reads the row-major array: STDP updates weight rows
+        // mid-sample and the next step's gather must see them. The blocked
+        // gather writes every neuron, zero for an empty wave.
+        sum_rows(lay.w.data(), lay.n_in, lay.n_out, *spikes,
+                 lay.current.data());
+      } else {
+        // Inference: spike-outer / neuron-inner over contiguous transposed
+        // columns. Per neuron the additions happen in the same spike order
+        // as the row-major walk, so the sums are bitwise identical.
+        std::fill(lay.current.begin(), lay.current.end(), 0.0f);
         const std::size_t nn = lay.n_out;
-        if (learn) {
-          // Training reads the row-major array directly: STDP updates
-          // weight rows mid-sample and the next step's gather must see them.
-          for (std::size_t n = 0; n < nn; ++n) {
-            const float* row = lay.w.data() + n * ni;
-            float acc = 0.0f;
-            for (const auto i : *spikes) acc += row[i];
-            lay.current[n] = acc;
-          }
-        } else {
-          // Inference: spike-outer / neuron-inner over contiguous
-          // transposed columns. Per neuron the additions happen in the same
-          // spike order as the row-major walk, so the sums are bitwise
-          // identical.
-          float* cur = lay.current.data();
-          for (const auto i : *spikes) {
-            const float* col = lay.wt.data() + std::size_t{i} * nn;
-            for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
-          }
+        float* cur = lay.current.data();
+        for (const auto i : *spikes) {
+          const float* col = lay.wt.data() + std::size_t{i} * nn;
+          for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
         }
       }
 

@@ -14,9 +14,14 @@
 // breaks the per-neuron serial addition chain of the row-major walk. The
 // per-neuron addition *sequence* is unchanged (same spikes, same order), so
 // inference results are bitwise identical to the row-major kernel — the
-// golden digests lock this down. Training keeps reading the row-major
-// arrays directly (STDP updates rows mid-sample), so the transposes are
-// resynced lazily before the next inference.
+// golden digests lock this down. Training reads the row-major arrays,
+// because STDP updates rows mid-sample, and the transposes are resynced
+// lazily before the next inference. Its drive gather and its row
+// normalization each walk blocks of eight rows at once, one float
+// accumulator per row: each row still adds its terms in the one-row order
+// (the step's spike list, or ascending inputs), so every sum is bitwise the
+// serial one, while the eight independent addition chains no longer wait
+// on each other's latency.
 //
 // Bit-exactness contract: a NetworkConfig with empty `hidden_neurons` is
 // the legacy single-layer network — same weight-init stream (Rng(seed)),

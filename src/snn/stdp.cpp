@@ -1,7 +1,9 @@
 #include "snn/stdp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/contracts.hpp"
 
@@ -27,16 +29,34 @@ void stdp_post_update(float* w_row, std::size_t n_inputs,
                       const std::vector<float>& x_pre, const StdpParams& p) {
   SPARKXD_REQUIRE(x_pre.size() == n_inputs,
                   "trace width must match the weight row");
+  // Locals, not loads through `p`: the compiler cannot prove the params do
+  // not alias the row it writes.
+  const float eta = p.eta;
+  const float x_target = p.x_target;
+  const float w_min = p.w_min;
+  const float w_max = p.w_max;
+  const float* x = x_pre.data();
   for (std::size_t i = 0; i < n_inputs; ++i) {
-    const float drive = x_pre[i] - p.x_target;
+    const float w = w_row[i];
+    const float drive = x[i] - x_target;
     // Asymmetric soft bounds: potentiation saturates toward w_max,
     // depression toward w_min. Scaling depression by (w - w_min) matters
     // for fault recovery: a weight corrupted to w_max must still be
     // depressible, which a symmetric (w_max - w) factor would forbid.
-    const float dw = drive > 0.0f
-                         ? p.eta * drive * (p.w_max - w_row[i])
-                         : p.eta * drive * (w_row[i] - p.w_min);
-    w_row[i] = std::clamp(w_row[i] + dw, p.w_min, p.w_max);
+    // Both factors are computed and one is picked by an integer mask: a
+    // float ternary over two products is not if-converted under the default
+    // -ftrapping-math, which keeps the loop scalar.
+    const float up = eta * drive * (w_max - w);
+    const float down = eta * drive * (w - w_min);
+    const std::uint32_t pick_up = 0u - static_cast<std::uint32_t>(drive > 0.0f);
+    const float dw = std::bit_cast<float>(
+        (std::bit_cast<std::uint32_t>(up) & pick_up) |
+        (std::bit_cast<std::uint32_t>(down) & ~pick_up));
+    // std::clamp(w + dw, w_min, w_max) as two selects, same results for
+    // NaN (kept) and -0.0 (kept against w_min = 0).
+    const float v = w + dw;
+    const float lo = v < w_min ? w_min : v;
+    w_row[i] = w_max < lo ? w_max : lo;
   }
 }
 

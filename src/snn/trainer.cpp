@@ -93,19 +93,6 @@ std::int32_t predict(Network& net, const NeuronLabels& labels,
 
 namespace {
 
-/// Scores samples [begin, end) through `state`, one forked Rng per sample.
-void score_span(const Network& net, InferenceState& state,
-                const NeuronLabels& labels, const data::Dataset& ds,
-                std::uint64_t stream, std::size_t begin, std::size_t end,
-                std::vector<std::uint8_t>& correct) {
-  for (std::size_t i = begin; i < end; ++i) {
-    Rng sample_rng(hash_combine(stream, i));
-    const auto counts = net.infer(state, ds.images[i], sample_rng);
-    correct[i] = vote_spike_counts(counts, labels) ==
-                 static_cast<std::int32_t>(ds.labels[i]);
-  }
-}
-
 double accuracy_of(const std::vector<std::uint8_t>& correct) {
   std::size_t n_correct = 0;
   for (const std::uint8_t c : correct) n_correct += c;
@@ -113,6 +100,18 @@ double accuracy_of(const std::vector<std::uint8_t>& correct) {
 }
 
 }  // namespace
+
+void score_span(const Network& net, InferenceState& state,
+                const NeuronLabels& labels, const data::Dataset& ds,
+                std::uint64_t stream, std::size_t begin, std::size_t end,
+                std::uint8_t* correct) {
+  for (std::size_t i = begin; i < end; ++i) {
+    Rng sample_rng(hash_combine(stream, i));
+    const auto counts = net.infer(state, ds.images[i], sample_rng);
+    correct[i] = vote_spike_counts(counts, labels) ==
+                 static_cast<std::int32_t>(ds.labels[i]);
+  }
+}
 
 double evaluate(const Network& net, const NeuronLabels& labels,
                 const data::Dataset& ds, Rng& rng) {
@@ -136,7 +135,8 @@ double evaluate(const Network& net, const NeuronLabels& labels,
   parallel_for_chunks(
       ds.size(), [&](std::size_t begin, std::size_t end, std::size_t) {
         InferenceState state(net);
-        score_span(net, state, labels, ds, stream, begin, end, correct);
+        score_span(net, state, labels, ds, stream, begin, end,
+                   correct.data());
       });
   return accuracy_of(correct);
 }
@@ -148,18 +148,6 @@ double evaluate(Network& net, const NeuronLabels& labels,
   // read-only across the scoring workers.
   net.sync_transpose();
   return evaluate(std::as_const(net), labels, ds, rng);
-}
-
-double evaluate(const Network& net, InferenceState& state,
-                const NeuronLabels& labels, const data::Dataset& ds,
-                Rng& rng) {
-  SPARKXD_REQUIRE(ds.size() > 0, "cannot evaluate on an empty dataset");
-  SPARKXD_REQUIRE(labels.label.size() == net.config().n_neurons,
-                  "label table must match the network size");
-  const std::uint64_t stream = rng.next_u64();
-  std::vector<std::uint8_t> correct(ds.size(), 0);
-  score_span(net, state, labels, ds, stream, 0, ds.size(), correct);
-  return accuracy_of(correct);
 }
 
 TrainedModel train_and_label(const NetworkConfig& cfg,

@@ -68,14 +68,16 @@ void train_epoch(Network& net, const data::Dataset& ds, Rng& rng);
 [[nodiscard]] double evaluate(Network& net, const NeuronLabels& labels,
                               const data::Dataset& ds, Rng& rng);
 
-/// Hot-path overload: identical result and streams, scoring serially
-/// through a caller-owned InferenceState with no per-call copies or
-/// fan-out. Intended for callers already inside a parallel region (the
-/// Monte-Carlo trial loop) that reuse one state across many evaluations.
-/// Requires net's transpose synced.
-[[nodiscard]] double evaluate(const Network& net, InferenceState& state,
-                              const NeuronLabels& labels,
-                              const data::Dataset& ds, Rng& rng);
+/// The scoring loop every evaluation runs: samples [begin, end) of `ds`
+/// through `state`, sample i drawing its spike trains from
+/// Rng(hash_combine(stream, i)); correct[i] = 1 when the vote matches its
+/// label, else 0. `stream` is the one draw an evaluate overload takes from
+/// its `rng`, so a caller that splits samples across workers reproduces
+/// evaluate's per-sample results exactly. Requires net's transpose synced.
+void score_span(const Network& net, InferenceState& state,
+                const NeuronLabels& labels, const data::Dataset& ds,
+                std::uint64_t stream, std::size_t begin, std::size_t end,
+                std::uint8_t* correct);
 
 /// A trained, labelled model with its clean-weight accuracy.
 struct TrainedModel {

@@ -6,12 +6,14 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "core/fault_aware.hpp"
 #include "core/pipeline.hpp"
 #include "error/ecc_scheme.hpp"
 #include "mapping/mapping.hpp"
+#include "test_env_util.hpp"
 
 namespace sparkxd::core {
 namespace {
@@ -262,42 +264,67 @@ TEST_F(FaultAwareFixture, ToleranceRejectsAnInjectorCountOtherThanDepth) {
 
 // ----------------------------------------------------------- ecc evaluation
 
-TEST(EvaluateCorruptedEcc, TwoLayerMixedProtectionKnownAnswer) {
-  // A 2-layer stack with SECDED on layer 0 and no code on layer 1: layer 0
-  // takes the raw-inject + scrub path, layer 1 the clip-only path, both
-  // drawing from their forked substreams. The pinned accuracy, per-layer
-  // scrub totals and the caller's next draw lock down the whole trial
-  // loop; a stream, clip or reduction change moves at least one of them.
-  const auto all = data::make_dataset(data::Task::kDigits, 150, 42);
-  const auto train = all.take(100);
-  const auto test = all.drop(100);
+snn::NetworkConfig two_layer_config() {
   snn::NetworkConfig cfg;
   cfg.n_neurons = 25;
   cfg.hidden_neurons = {48};
   cfg.seed = 42;
-  Rng train_rng(42);
-  const auto model = snn::train_and_label(cfg, train, test, 1, train_rng);
-  const auto geometry = dram::Geometry::lpddr3_4gb();
-  const error::SubarrayProfile profile(geometry, 42);
-  const std::vector<std::size_t> layer_weights{cfg.layer_weight_count(0),
-                                               cfg.layer_weight_count(1)};
-  const auto places =
-      mapping::baseline_placement_layers(geometry, layer_weights);
-  std::vector<error::ErrorInjector> injectors;
-  for (std::size_t l = 0; l < 2; ++l)
-    injectors.push_back(error::ErrorInjector::for_weights(
-        geometry, profile, error::ErrorModelSpec{}, places[l],
-        layer_weights[l], 42, 1e-3));
-  const auto secded =
-      error::make_ecc_scheme({error::EccKind::kSecded, 64, 0});
-  const auto checks = error::ecc_encode_buffer(*secded, model.net.weights(0));
-  const LayerEcc ecc{{secded.get(), &checks}, {nullptr, nullptr}};
+  return cfg;
+}
 
+snn::TrainedModel train_two_layer(const data::Dataset& train,
+                                  const data::Dataset& test) {
+  Rng train_rng(42);
+  return snn::train_and_label(two_layer_config(), train, test, 1, train_rng);
+}
+
+/// A trained 784 -> 48 -> 25 stack with SECDED on layer 0 and no code on
+/// layer 1: layer 0 takes the raw-inject + scrub path, layer 1 the
+/// clip-only path, both drawing from their forked substreams.
+struct TwoLayerEccRig {
+  TwoLayerEccRig() {
+    const snn::NetworkConfig cfg = two_layer_config();
+    const std::vector<std::size_t> layer_weights{cfg.layer_weight_count(0),
+                                                 cfg.layer_weight_count(1)};
+    const auto places =
+        mapping::baseline_placement_layers(geometry, layer_weights);
+    for (std::size_t l = 0; l < 2; ++l)
+      injectors.push_back(error::ErrorInjector::for_weights(
+          geometry, profile, error::ErrorModelSpec{}, places[l],
+          layer_weights[l], 42, 1e-3));
+  }
+
+  /// evaluate_corrupted_ecc at BER 1e-3 with per-layer scrub totals.
+  double evaluate(const data::Dataset& ds, Rng& rng, std::size_t trials,
+                  std::vector<EccScrubTotals>& totals) const {
+    return evaluate_corrupted_ecc(model.net, model.labels,
+                                  {&injectors[0], &injectors[1]}, ecc, 1e-3,
+                                  ds, rng, trials, kDefaultWeightClip,
+                                  &totals);
+  }
+
+  data::Dataset all = data::make_dataset(data::Task::kDigits, 150, 42);
+  data::Dataset train = all.take(100);
+  data::Dataset test = all.drop(100);
+  snn::TrainedModel model = train_two_layer(train, test);
+  dram::Geometry geometry = dram::Geometry::lpddr3_4gb();
+  error::SubarrayProfile profile{geometry, 42};
+  std::unique_ptr<error::EccScheme> secded =
+      error::make_ecc_scheme({error::EccKind::kSecded, 64, 0});
+  std::vector<std::uint64_t> checks =
+      error::ecc_encode_buffer(*secded, model.net.weights(0));
+  std::vector<error::ErrorInjector> injectors;
+  LayerEcc ecc{{secded.get(), &checks}, {nullptr, nullptr}};
+};
+
+TEST(EvaluateCorruptedEcc, TwoLayerMixedProtectionKnownAnswer) {
+  // The pinned accuracy, per-layer scrub totals and the caller's next draw
+  // lock down the whole trial loop; a stream, clip or reduction change
+  // moves at least one of them.
+  const TwoLayerEccRig rig;
   Rng rng(77);
   std::vector<EccScrubTotals> totals;
-  const double acc = evaluate_corrupted_ecc(
-      model.net, model.labels, {&injectors[0], &injectors[1]}, ecc, 1e-3,
-      test, rng, 4, kDefaultWeightClip, &totals);
+  const double acc = rig.evaluate(rig.test, rng, 4, totals);
   EXPECT_EQ(acc, 0.39000000000000001);
   ASSERT_EQ(totals.size(), 2u);
   EXPECT_EQ(totals[0].codewords, 2241u);
@@ -309,6 +336,58 @@ TEST(EvaluateCorruptedEcc, TwoLayerMixedProtectionKnownAnswer) {
   EXPECT_EQ(totals[1].detected, 0u);
   EXPECT_EQ(totals[1].bits_corrected, 0u);
   EXPECT_EQ(rng.next_u64(), 4186339675336148520ull);
+}
+
+TEST(EvaluateCorruptedEcc, TrialSampleFanOutIsThreadCountInvariant) {
+  // The (trial, sample) fan-out: with 50 test samples, 3 workers cut 1 and
+  // 2 trials mid-trial and 8 workers cut every trial count mid-trial, so
+  // chunks inject, score part of a trial and revert. Accuracy and the
+  // per-layer scrub totals (reported once per trial, by the chunk holding
+  // its sample 0) must not depend on the split.
+  const TwoLayerEccRig rig;
+  ASSERT_EQ(rig.test.size(), 50u);
+  for (const std::size_t trials : {1u, 2u, 3u}) {
+    std::vector<double> accs;
+    std::vector<std::vector<EccScrubTotals>> all_totals;
+    for (const char* threads : {"1", "3", "8"}) {
+      testutil::ThreadsOverride override_threads(threads);
+      Rng rng(91);
+      std::vector<EccScrubTotals> totals;
+      accs.push_back(rig.evaluate(rig.test, rng, trials, totals));
+      all_totals.push_back(totals);
+    }
+    ASSERT_EQ(all_totals[0].size(), 2u);
+    EXPECT_GT(all_totals[0][0].codewords, 0u);  // ECC really scrubbed
+    for (std::size_t run = 1; run < accs.size(); ++run) {
+      EXPECT_EQ(accs[run], accs[0]) << trials << " trials, run " << run;
+      for (std::size_t l = 0; l < 2; ++l) {
+        const EccScrubTotals& a = all_totals[run][l];
+        const EccScrubTotals& b = all_totals[0][l];
+        EXPECT_EQ(a.codewords, b.codewords) << trials << " trials, layer " << l;
+        EXPECT_EQ(a.corrected, b.corrected) << trials << " trials, layer " << l;
+        EXPECT_EQ(a.detected, b.detected) << trials << " trials, layer " << l;
+        EXPECT_EQ(a.bits_corrected, b.bits_corrected)
+            << trials << " trials, layer " << l;
+      }
+    }
+  }
+}
+
+TEST(EvaluateCorruptedEcc, RejectsAnEmptyTestSet) {
+  // Zero samples means zero (trial, sample) work items: the call must fail
+  // naming the empty dataset, not divide by n = 0.
+  const TwoLayerEccRig rig;
+  data::Dataset empty;
+  empty.num_classes = rig.test.num_classes;
+  Rng rng(5);
+  std::vector<EccScrubTotals> totals;
+  try {
+    (void)rig.evaluate(empty, rng, 2, totals);
+    FAIL() << "an empty test set was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("empty dataset"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------------------ pipeline

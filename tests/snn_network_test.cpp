@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <utility>
@@ -348,18 +351,25 @@ TEST_F(TrainedFixture, EvaluateIsMeanAccuracy) {
 }
 
 TEST_F(TrainedFixture, EvaluateOverloadsAgreeBitwise) {
-  // Const fan-out, in-place scratch, and the reusable-InferenceState hot
-  // path must all produce the same accuracy from the same Rng state.
+  // Const fan-out, in-place scratch, and one serial score_span over every
+  // sample keyed by the same single draw must all produce the same accuracy
+  // from the same Rng state.
   Rng a(8), b(8), c(8);
   const double fanned =
       evaluate(std::as_const(model->net), model->labels, test, a);
   const double in_place = evaluate(model->net, model->labels, test, b);
   model->net.sync_transpose();
   InferenceState state(model->net);
+  std::vector<std::uint8_t> correct(test.size(), 0);
+  score_span(model->net, state, model->labels, test, c.next_u64(), 0,
+             test.size(), correct.data());
+  std::size_t n_correct = 0;
+  for (const std::uint8_t ok : correct) n_correct += ok;
   const double reused =
-      evaluate(std::as_const(model->net), state, model->labels, test, c);
+      static_cast<double>(n_correct) / static_cast<double>(test.size());
   EXPECT_EQ(fanned, in_place);
   EXPECT_EQ(fanned, reused);
+  EXPECT_EQ(a.next_u64(), c.next_u64());  // one draw each
 }
 
 TEST_F(TrainedFixture, MoreTrainingDoesNotCollapse) {
@@ -531,6 +541,101 @@ TEST(DeepNetwork, TrainsLabelsAndEvaluatesEndToEnd) {
   EXPECT_EQ(model.clean_accuracy, model2.clean_accuracy);
   for (std::size_t l = 0; l < model.net.n_layers(); ++l)
     EXPECT_EQ(model.net.weights(l), model2.net.weights(l));
+}
+
+// ------------------------------------------------ learning-pass known answer
+
+/// Hash of every layer's weight bits and theta bits, layer order.
+std::uint64_t state_hash(const Network& net) {
+  std::uint64_t h = 0;
+  for (std::size_t l = 0; l < net.n_layers(); ++l) {
+    for (const float w : net.weights(l))
+      h = hash_combine(h, std::bit_cast<std::uint32_t>(w));
+    for (const float th : net.thetas(l))
+      h = hash_combine(h, std::bit_cast<std::uint32_t>(th));
+  }
+  return h;
+}
+
+/// One train_epoch from a fixed start, with one all-zero row per layer that
+/// has more than one neuron (covers the zero-sum skip of normalize_rows).
+/// Returns {state hash, the caller Rng's next draw}.
+std::pair<std::uint64_t, std::uint64_t> train_one_epoch(
+    const NetworkConfig& cfg) {
+  const auto ds = data::make_dataset(data::Task::kDigits, 40, 11);
+  Network net(cfg);
+  for (std::size_t l = 0; l < net.n_layers(); ++l) {
+    const std::size_t ni = cfg.layer_inputs(l);
+    auto& w = net.weights_mut(l);
+    std::fill(w.begin() + 3 * ni, w.begin() + 4 * ni, 0.0f);
+  }
+  const auto before = net;
+  Rng rng(11);
+  train_epoch(net, ds, rng);
+  for (std::size_t l = 0; l < net.n_layers(); ++l) {
+    // Not vacuous: STDP moved every layer, and the zero row stayed zero.
+    EXPECT_NE(net.weights(l), before.weights(l)) << "layer " << l;
+    const std::size_t ni = cfg.layer_inputs(l);
+    for (std::size_t i = 3 * ni; i < 4 * ni; ++i)
+      EXPECT_EQ(net.weights(l)[i], 0.0f) << "layer " << l;
+  }
+  return {state_hash(net), rng.next_u64()};
+}
+
+TEST(TrainEpoch, FlatNetworkMatchesKnownAnswer) {
+  // 25 neurons: three full blocks of eight plus a one-neuron tail in the
+  // drive gather and the row normalization.
+  auto cfg = tiny_config();
+  cfg.n_neurons = 25;
+  const auto [hash, next] = train_one_epoch(cfg);
+  EXPECT_EQ(hash, 2739947542463736954ull);
+  EXPECT_EQ(next, 15462188045957605436ull);
+}
+
+TEST(TrainEpoch, OddWidthStackMatchesKnownAnswer) {
+  // No width is a multiple of eight: every layer has a tail block, and the
+  // hidden layers' fan-ins (13, 27) are odd too.
+  auto cfg = tiny_config();
+  cfg.hidden_neurons = {13, 27};
+  cfg.n_neurons = 11;
+  const auto [hash, next] = train_one_epoch(cfg);
+  EXPECT_EQ(hash, 13027067855240947313ull);
+  EXPECT_EQ(next, 15462188045957605436ull);
+}
+
+TEST(TrainEpoch, BlockedKernelsKeepEachRowsAdditionOrder) {
+  // Rows {0.5, 2^-25, 2^-25}: summed in input order every partial sum ties
+  // back to 0.5 (round half to even), while any other order reaches
+  // 0.5 + 2^-24. Nine neurons = one full block of eight plus a tail.
+  NetworkConfig cfg;
+  cfg.n_inputs = 3;
+  cfg.n_neurons = 9;
+  cfg.timesteps = 1;
+  cfg.max_rate = 1.0f;  // every pixel spikes on every step
+  cfg.lif.v_thresh = std::nextafter(0.5f, 1.0f);
+  const float tiny = std::ldexp(1.0f, -25);
+  const std::vector<float> row{0.5f, tiny, tiny};
+
+  // Row normalization: the sum is exactly 0.5, so the scale is 22.
+  Network norm(cfg);
+  auto& w = norm.weights_mut(0);
+  for (std::size_t n = 0; n < cfg.n_neurons; ++n)
+    std::copy(row.begin(), row.end(), w.begin() + n * 3);
+  norm.normalize_rows();
+  for (std::size_t n = 0; n < cfg.n_neurons; ++n)
+    for (std::size_t i = 0; i < 3; ++i)
+      EXPECT_EQ(norm.weights(0)[n * 3 + i], row[i] * (cfg.norm_target / 0.5f))
+          << "neuron " << n << ", input " << i;
+
+  // Learning-mode drive: the first step's drive is exactly 0.5, one ulp
+  // below threshold, so no neuron fires.
+  Network learn(cfg);
+  auto& lw = learn.weights_mut(0);
+  for (std::size_t n = 0; n < cfg.n_neurons; ++n)
+    std::copy(row.begin(), row.end(), lw.begin() + n * 3);
+  Rng rng(1);
+  const auto counts = learn.process({1.0f, 1.0f, 1.0f}, /*learn=*/true, rng);
+  EXPECT_EQ(counts, std::vector<std::uint32_t>(cfg.n_neurons, 0));
 }
 
 TEST(DeepNetwork, RejectsZeroSizedHiddenLayers) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "snn/encoding.hpp"
@@ -208,6 +213,59 @@ TEST(Stdp, RepeatedPairingConvergesTowardWmax) {
   const std::vector<float> x{1.0f};
   for (int i = 0; i < 500; ++i) stdp_post_update(w.data(), 1, x, p);
   EXPECT_GT(w[0], 0.95f);
+}
+
+/// The update as a plain per-synapse ternary plus std::clamp — the
+/// reference the select-based kernel must match bit for bit.
+void stdp_reference(float* w_row, std::size_t n, const std::vector<float>& x,
+                    const StdpParams& p) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float drive = x[i] - p.x_target;
+    const float dw = drive > 0.0f ? p.eta * drive * (p.w_max - w_row[i])
+                                  : p.eta * drive * (w_row[i] - p.w_min);
+    w_row[i] = std::clamp(w_row[i] + dw, p.w_min, p.w_max);
+  }
+}
+
+TEST(Stdp, SelectKernelMatchesTheTernaryReferenceBitwise) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (const StdpParams& p :
+       {params(), StdpParams{}, StdpParams{0.5f, 0.2f, 20.0f, 0.05f, 0.8f}}) {
+    const std::vector<float> weights{p.w_min,
+                                     p.w_max,
+                                     p.w_min - 0.25f,
+                                     p.w_max + 0.25f,
+                                     -1.0e30f,
+                                     1.0e30f,
+                                     -0.0f,
+                                     0.0f,
+                                     denorm,
+                                     -denorm,
+                                     4.0f * denorm,
+                                     nan,
+                                     0.5f * (p.w_min + p.w_max)};
+    const std::vector<float> traces{0.0f,  std::nextafter(p.x_target, 0.0f),
+                                    p.x_target,
+                                    std::nextafter(p.x_target, 1.0f),
+                                    1.0f,  nan};
+    // Every (weight, trace) pair in one row: 78 synapses, so both the
+    // vector body and the scalar tail of the kernel are covered.
+    std::vector<float> w, x;
+    for (const float wv : weights)
+      for (const float xv : traces) {
+        w.push_back(wv);
+        x.push_back(xv);
+      }
+    std::vector<float> ref = w;
+    stdp_post_update(w.data(), w.size(), x, p);
+    stdp_reference(ref.data(), ref.size(), x, p);
+    for (std::size_t i = 0; i < w.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(w[i]),
+                std::bit_cast<std::uint32_t>(ref[i]))
+          << "synapse " << i << ": w " << weights[i / traces.size()]
+          << ", x " << traces[i % traces.size()];
+  }
 }
 
 TEST(Stdp, RejectsMismatchedTraceWidth) {
