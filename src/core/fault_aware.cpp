@@ -1,6 +1,7 @@
 #include "core/fault_aware.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -32,8 +33,6 @@ double evaluate_corrupted_ecc(const snn::Network& net,
                               std::vector<EccScrubTotals>* totals) {
   SPARKXD_REQUIRE(trials >= 1, "need at least one evaluation trial");
   SPARKXD_REQUIRE(test.size() > 0, "cannot evaluate on an empty dataset");
-  SPARKXD_REQUIRE(labels.label.size() == net.config().n_neurons,
-                  "label table must match the network size");
   const std::size_t n_layers = net.n_layers();
   SPARKXD_REQUIRE(injectors.size() == n_layers && ecc.size() == n_layers,
                   "need one injector and one ecc slot per network layer");
@@ -41,11 +40,10 @@ double evaluate_corrupted_ecc(const snn::Network& net,
     SPARKXD_REQUIRE(ecc[l].scheme == nullptr || ecc[l].checks != nullptr,
                     "an ecc-protected layer needs its check words");
   const error::SanitizeRange clip{net.config().stdp.w_min, weight_clip};
-  // One parent draw keys this call's trial substreams: trial t injects from
-  // hash_combine(stream, 2t) and scores sample i from
-  // Rng(hash_combine(s_t, i)), s_t the first draw of
-  // Rng(hash_combine(stream, 2t + 1)) — exactly what snn::evaluate draws
-  // from that Rng. Injection and evaluation draw from *separate* substreams
+  // One parent draw keys this call's trial substreams: every trial owns an
+  // independent Rng pair and every worker a private corruptible weight
+  // copy, so trials run concurrently and the mean is bit-identical at any
+  // thread count. Injection and evaluation draw from *separate* substreams
   // (common random numbers): the spike trains are then identical across
   // BERs for the same parent state, so accuracy differences measure the
   // injected errors, not resampling noise.
@@ -56,28 +54,25 @@ double evaluate_corrupted_ecc(const snn::Network& net,
   std::vector<error::FrozenInjection> frozen(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l)
     if (injectors[l] != nullptr) frozen[l] = injectors[l]->freeze(ber);
-  const std::size_t n = test.size();
-  // One byte per (trial, sample) and per-(trial, layer) scrub slots keep
-  // the reduction order fixed regardless of which chunk scored what.
-  std::vector<std::uint8_t> correct(trials * n, 0);
+  std::vector<double> accs(trials, 0.0);
+  // Per-(trial, layer) scrub slots keep the reduction order deterministic
+  // regardless of which worker ran which trial.
   std::vector<error::EccScrubStats> trial_stats(
       totals != nullptr ? trials * n_layers : 0);
-  // The work is the flat (trial, sample) index space, so a single trial's
-  // samples spread over every worker too. Each chunk owns one corruptible
-  // weight copy (carrying the configured event/event-fx accumulation) and
-  // one InferenceState; it injects a trial's flips when it enters that
-  // trial and reverts exactly those flips when it leaves — delta injection
-  // instead of a full snapshot restore.
   parallel_for_chunks(
-      trials * n, [&](std::size_t begin, std::size_t end, std::size_t) {
+      trials, [&](std::size_t begin, std::size_t end, std::size_t) {
+        // One weight copy per worker (each needs private corruptible
+        // arrays); between trials only the recorded flips are reverted —
+        // delta injection replaces the full per-trial snapshot restore.
+        // The copy carries the configured accumulation (event/event-fx)
+        // along, so the whole Monte-Carlo fan-out runs whichever kernel the
+        // PipelineConfig selected.
         snn::Network scratch = net;
         scratch.sync_transpose();
-        snn::InferenceState state(scratch);
         std::vector<std::vector<error::WeightFlip>> flips(n_layers);
-        for (std::size_t t = begin / n; t * n < end; ++t) {
-          const std::size_t first = std::max(begin, t * n) - t * n;
-          const std::size_t last = std::min(end, (t + 1) * n) - t * n;
+        for (std::size_t t = begin; t < end; ++t) {
           const std::uint64_t inject_seed = hash_combine(stream, 2 * t);
+          Rng eval_rng(hash_combine(stream, 2 * t + 1));
           for (std::size_t l = 0; l < n_layers; ++l) {
             if (injectors[l] == nullptr) continue;
             Rng inject_rng = layer_inject_rng(inject_seed, l, n_layers);
@@ -92,20 +87,19 @@ double evaluate_corrupted_ecc(const snn::Network& net,
               const error::EccScrubStats st = error::ecc_scrub_codewords(
                   *ecc[l].scheme, scratch.weights_delta(l), *ecc[l].checks,
                   flips[l], n_injected, clip);
-              // Every chunk of trial t scrubs the same flips; the one
-              // holding sample 0 reports them.
-              if (totals != nullptr && first == 0)
-                trial_stats[t * n_layers + l] = st;
+              if (totals != nullptr) trial_stats[t * n_layers + l] = st;
             } else {
               frozen[l].inject(scratch.weights_delta(l), inject_rng, clip,
                                &flips[l]);
             }
             for (const auto& f : flips[l]) scratch.mirror_weight(l, f.word);
           }
-          const std::uint64_t sample_stream =
-              Rng(hash_combine(stream, 2 * t + 1)).next_u64();
-          snn::score_span(scratch, state, labels, test, sample_stream, first,
-                          last, correct.data() + t * n);
+          // The const overload fans out over samples. With a single trial
+          // this body runs outside any parallel region, so the trial's
+          // samples spread over every worker; with several trials in
+          // flight it runs inline on this worker.
+          accs[t] = snn::evaluate(std::as_const(scratch), labels, test,
+                                  eval_rng);
           for (std::size_t l = 0; l < n_layers; ++l) {
             if (injectors[l] == nullptr) continue;
             error::revert_flips(scratch.weights_delta(l), flips[l]);
@@ -113,14 +107,8 @@ double evaluate_corrupted_ecc(const snn::Network& net,
           }
         }
       });
-  // Trial-ascending mean of per-trial accuracies, each n_correct / n — the
-  // same doubles as one snn::evaluate per trial.
   double acc_sum = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    std::size_t n_correct = 0;
-    for (std::size_t i = 0; i < n; ++i) n_correct += correct[t * n + i];
-    acc_sum += static_cast<double>(n_correct) / static_cast<double>(n);
-  }
+  for (const double a : accs) acc_sum += a;
   if (totals != nullptr) {
     totals->assign(n_layers, EccScrubTotals{});
     for (std::size_t t = 0; t < trials; ++t) {

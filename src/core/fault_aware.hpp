@@ -85,18 +85,16 @@ using LayerInjectors = std::vector<const error::ErrorInjector*>;
 /// Evaluates a model with every non-null entry of `injectors` corrupting its
 /// layer's weights at `ber`. Averages `trials` fresh error draws, each with
 /// its own Rng substreams keyed off one draw from `rng`, so the result is
-/// deterministic in `rng`'s state and identical at every thread count. The
-/// work is the flat (trial, sample) index space, split into contiguous
-/// chunks that run concurrently (see common/parallel), so even a single
-/// trial spreads over every worker; a chunk may start or end mid-trial.
-/// Trial t's samples draw exactly what one snn::evaluate per trial would
-/// draw. The hot path is delta-based: the flip candidates at `ber` are
-/// frozen once (ErrorInjector::freeze) and shared by every chunk; a chunk
-/// owns one corruptible weight copy plus one snn::InferenceState, injects a
-/// trial's flips when it enters that trial and reverts only those flips
-/// when it leaves instead of restoring a full snapshot — bit-identical to
-/// the snapshot loop (tests/core_test.cpp proves it against a reference
-/// implementation). Throws ContractViolation on an empty `test` set. `net`
+/// deterministic in `rng`'s state and identical at every thread count.
+/// Trials run concurrently (see common/parallel); each trial scores through
+/// the sample-parallel snn::evaluate, so a single trial spreads its samples
+/// over every worker, while several trials in flight each score inline on
+/// their own worker. The hot path is delta-based: the flip candidates at
+/// `ber` are frozen once (ErrorInjector::freeze) and shared across all
+/// trials, each worker owns one corruptible weight copy, and between trials
+/// only the recorded flips are reverted instead of restoring a full
+/// snapshot — bit-identical to the snapshot loop (tests/core_test.cpp
+/// proves it against a reference implementation). Throws ContractViolation on an empty `test` set. `net`
 /// is untouched (const — required for the concurrent per-voltage sweep to
 /// share one trained model). `weight_clip` is the load-time range clip
 /// applied to corrupted values. Trial t's injection stream is split across
@@ -138,8 +136,7 @@ struct EccScrubTotals {
 /// evaluate_corrupted — which is this function with every scheme null.
 /// When `totals` is non-null it is resized to n_layers and filled with
 /// per-layer scrub counts summed over trials, deterministically
-/// (trial-ascending reduction; every chunk of a trial scrubs the same flips,
-/// and the chunk holding the trial's sample 0 reports them).
+/// (trial-ascending reduction).
 [[nodiscard]] double evaluate_corrupted_ecc(
     const snn::Network& net, const snn::NeuronLabels& labels,
     const LayerInjectors& injectors, const LayerEcc& ecc, double ber,

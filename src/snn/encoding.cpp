@@ -18,19 +18,22 @@ void PoissonEncoder::set_image(const std::vector<float>& image) {
   active_idx_.resize(n);
   active_p_.resize(n);
   std::size_t k = 0;
+  bool in_range = true;
   for (std::size_t i = 0; i < n; ++i) {
     const float v = image[i];
     // Validate BEFORE the activity filter: a negative or NaN pixel fails
     // `> 0.0f` and used to slip through silently as "inactive".
-    SPARKXD_REQUIRE(v >= 0.0f && v <= 1.0f,
-                    "pixel intensities must be in [0,1]");
+    in_range &= v >= 0.0f && v <= 1.0f;
     active_idx_[k] = static_cast<std::uint32_t>(i);
     active_p_[k] = v * max_rate_;
     k += static_cast<std::size_t>(v > 0.0f);
   }
+  // A rejected image leaves the encoder empty, all three arrays at size 0.
+  if (!in_range) k = 0;
   active_idx_.resize(k);
   active_p_.resize(k);
   active_t_.resize(k);
+  SPARKXD_REQUIRE(in_range, "pixel intensities must be in [0,1]");
   for (std::size_t j = 0; j < k; ++j)
     active_t_[j] = Rng::uniform_threshold(active_p_[j]);
 }

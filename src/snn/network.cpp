@@ -130,9 +130,11 @@ bool Network::transpose_synced() const noexcept {
 void Network::normalize_rows() {
   for (Layer& lay : layers_) {
     const std::size_t ni = lay.n_in;
-    std::vector<float> sums(lay.n_out);
+    // The row sums land in the drive buffer: it is per-step scratch that
+    // the next sample's reset_dynamics clears, so no per-call allocation.
+    float* sums = lay.current.data();
     sum_rows(lay.w.data(), ni, lay.n_out, std::views::iota(std::size_t{0}, ni),
-             sums.data());
+             sums);
     for (std::size_t n = 0; n < lay.n_out; ++n) {
       if (sums[n] <= 0.0f) continue;
       const float scale = cfg_.norm_target / sums[n];

@@ -93,18 +93,11 @@ std::int32_t predict(Network& net, const NeuronLabels& labels,
 
 namespace {
 
-double accuracy_of(const std::vector<std::uint8_t>& correct) {
-  std::size_t n_correct = 0;
-  for (const std::uint8_t c : correct) n_correct += c;
-  return static_cast<double>(n_correct) / static_cast<double>(correct.size());
-}
-
-}  // namespace
-
+/// Scores samples [begin, end) through `state`, one forked Rng per sample.
 void score_span(const Network& net, InferenceState& state,
                 const NeuronLabels& labels, const data::Dataset& ds,
                 std::uint64_t stream, std::size_t begin, std::size_t end,
-                std::uint8_t* correct) {
+                std::vector<std::uint8_t>& correct) {
   for (std::size_t i = begin; i < end; ++i) {
     Rng sample_rng(hash_combine(stream, i));
     const auto counts = net.infer(state, ds.images[i], sample_rng);
@@ -112,6 +105,14 @@ void score_span(const Network& net, InferenceState& state,
                  static_cast<std::int32_t>(ds.labels[i]);
   }
 }
+
+double accuracy_of(const std::vector<std::uint8_t>& correct) {
+  std::size_t n_correct = 0;
+  for (const std::uint8_t c : correct) n_correct += c;
+  return static_cast<double>(n_correct) / static_cast<double>(correct.size());
+}
+
+}  // namespace
 
 double evaluate(const Network& net, const NeuronLabels& labels,
                 const data::Dataset& ds, Rng& rng) {
@@ -135,8 +136,7 @@ double evaluate(const Network& net, const NeuronLabels& labels,
   parallel_for_chunks(
       ds.size(), [&](std::size_t begin, std::size_t end, std::size_t) {
         InferenceState state(net);
-        score_span(net, state, labels, ds, stream, begin, end,
-                   correct.data());
+        score_span(net, state, labels, ds, stream, begin, end, correct);
       });
   return accuracy_of(correct);
 }

@@ -68,17 +68,6 @@ void train_epoch(Network& net, const data::Dataset& ds, Rng& rng);
 [[nodiscard]] double evaluate(Network& net, const NeuronLabels& labels,
                               const data::Dataset& ds, Rng& rng);
 
-/// The scoring loop every evaluation runs: samples [begin, end) of `ds`
-/// through `state`, sample i drawing its spike trains from
-/// Rng(hash_combine(stream, i)); correct[i] = 1 when the vote matches its
-/// label, else 0. `stream` is the one draw an evaluate overload takes from
-/// its `rng`, so a caller that splits samples across workers reproduces
-/// evaluate's per-sample results exactly. Requires net's transpose synced.
-void score_span(const Network& net, InferenceState& state,
-                const NeuronLabels& labels, const data::Dataset& ds,
-                std::uint64_t stream, std::size_t begin, std::size_t end,
-                std::uint8_t* correct);
-
 /// A trained, labelled model with its clean-weight accuracy.
 struct TrainedModel {
   Network net;

@@ -338,12 +338,10 @@ TEST(EvaluateCorruptedEcc, TwoLayerMixedProtectionKnownAnswer) {
   EXPECT_EQ(rng.next_u64(), 4186339675336148520ull);
 }
 
-TEST(EvaluateCorruptedEcc, TrialSampleFanOutIsThreadCountInvariant) {
-  // The (trial, sample) fan-out: with 50 test samples, 3 workers cut 1 and
-  // 2 trials mid-trial and 8 workers cut every trial count mid-trial, so
-  // chunks inject, score part of a trial and revert. Accuracy and the
-  // per-layer scrub totals (reported once per trial, by the chunk holding
-  // its sample 0) must not depend on the split.
+TEST(EvaluateCorruptedEcc, FanOutIsThreadCountInvariant) {
+  // One trial spreads its 50 samples over every worker; with two or three
+  // trials each worker takes whole trials and scores their samples inline.
+  // Accuracy and the per-layer scrub totals must not depend on the split.
   const TwoLayerEccRig rig;
   ASSERT_EQ(rig.test.size(), 50u);
   for (const std::size_t trials : {1u, 2u, 3u}) {
@@ -374,8 +372,8 @@ TEST(EvaluateCorruptedEcc, TrialSampleFanOutIsThreadCountInvariant) {
 }
 
 TEST(EvaluateCorruptedEcc, RejectsAnEmptyTestSet) {
-  // Zero samples means zero (trial, sample) work items: the call must fail
-  // naming the empty dataset, not divide by n = 0.
+  // Zero samples: the call must fail naming the empty dataset, not divide
+  // by n = 0.
   const TwoLayerEccRig rig;
   data::Dataset empty;
   empty.num_classes = rig.test.num_classes;

@@ -201,6 +201,25 @@ TEST(PoissonEncoder, RejectsNegativeAndNanIntensities) {
   EXPECT_EQ(enc.active_pixels(), 1u);
 }
 
+TEST(PoissonEncoder, RejectedImageLeavesAnEmptyEncoder) {
+  // A short image first, so a stale threshold array would be shorter than
+  // the rejected image's active set; then a long image whose last pixel is
+  // out of range. The encoder must be left empty and consistent: step()
+  // draws nothing and emits nothing rather than reading stale thresholds.
+  PoissonEncoder enc(1.0f);
+  enc.set_image({1.0f});
+  std::vector<float> bad(64, 1.0f);
+  bad.back() = 2.0f;
+  EXPECT_THROW(enc.set_image(bad), ContractViolation);
+  EXPECT_EQ(enc.active_pixels(), 0u);
+  EXPECT_EQ(enc.expected_spikes_per_step(), 0.0);
+  Rng rng(3), untouched(3);
+  std::vector<std::uint32_t> spikes{7u};
+  enc.step(rng, spikes);
+  EXPECT_TRUE(spikes.empty());
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
 TEST(PoissonEncoder, ActivePixelsCountsNonZeroIntensities) {
   PoissonEncoder enc(0.5f);
   enc.set_image({0.0f, 0.3f, 1.0f, 0.0f});
