@@ -32,7 +32,6 @@ double evaluate_corrupted_ecc(const snn::Network& net,
                               std::size_t trials, float weight_clip,
                               std::vector<EccScrubTotals>* totals) {
   SPARKXD_REQUIRE(trials >= 1, "need at least one evaluation trial");
-  SPARKXD_REQUIRE(test.size() > 0, "cannot evaluate on an empty dataset");
   const std::size_t n_layers = net.n_layers();
   SPARKXD_REQUIRE(injectors.size() == n_layers && ecc.size() == n_layers,
                   "need one injector and one ecc slot per network layer");

@@ -377,14 +377,18 @@ TEST(EvaluateCorruptedEcc, RejectsAnEmptyTestSet) {
   const TwoLayerEccRig rig;
   data::Dataset empty;
   empty.num_classes = rig.test.num_classes;
-  Rng rng(5);
-  std::vector<EccScrubTotals> totals;
-  try {
-    (void)rig.evaluate(empty, rng, 2, totals);
-    FAIL() << "an empty test set was accepted";
-  } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("empty dataset"), std::string::npos)
-        << e.what();
+  for (const std::size_t trials : {1u, 2u}) {
+    Rng rng(5);
+    std::vector<EccScrubTotals> totals;
+    try {
+      (void)rig.evaluate(empty, rng, trials, totals);
+      ADD_FAILURE() << "an empty test set was accepted, " << trials
+                    << " trials";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("empty dataset"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
