@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace sparkxd {
@@ -7,6 +8,65 @@ namespace sparkxd {
 // splitmix64 / hash_combine / next_u64 / uniform / bernoulli are defined
 // inline in rng.hpp — the evaluation hot paths make millions of draws and
 // must not pay a cross-TU call per draw.
+
+namespace rng_detail {
+
+namespace {
+/// p(x) - x^256 for the xoshiro256 transition's characteristic polynomial
+/// p(x) = x^256 + sum c_k x^k (degree 256, so only the low coefficients are
+/// stored). Squaring x 128 times modulo p gives the reference JUMP
+/// constant; tests/common_test.cpp checks that.
+constexpr Gf2Poly kCharPolyLow = {0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+                                  0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
+
+/// a(x) * x mod p: shift up one place; a carry out of x^255 becomes x^256,
+/// which is the low part of p.
+void times_x(Gf2Poly& a) noexcept {
+  const std::uint64_t carry = a[3] >> 63;
+  a[3] = (a[3] << 1) | (a[2] >> 63);
+  a[2] = (a[2] << 1) | (a[1] >> 63);
+  a[1] = (a[1] << 1) | (a[0] >> 63);
+  a[0] <<= 1;
+  const std::uint64_t mask = 0 - carry;
+  for (std::size_t w = 0; w < 4; ++w) a[w] ^= kCharPolyLow[w] & mask;
+}
+}  // namespace
+
+Gf2Poly mulmod(const Gf2Poly& a, const Gf2Poly& b) noexcept {
+  // Horner over b's coefficients from the top: r <- r * x + b_k * a.
+  Gf2Poly r{};
+  for (int k = 255; k >= 0; --k) {
+    times_x(r);
+    const std::uint64_t mask = 0 - ((b[k / 64] >> (k % 64)) & 1);
+    for (std::size_t w = 0; w < 4; ++w) r[w] ^= a[w] & mask;
+  }
+  return r;
+}
+
+}  // namespace rng_detail
+
+void Rng::discard(std::uint64_t n) noexcept {
+  // Applying q(T) takes 256 steps, so stepping is cheaper below that.
+  if (n < 256) {
+    while (n-- > 0) (void)next_u64();
+    return;
+  }
+  // q(x) = x^n mod p by left-to-right square-and-multiply.
+  rng_detail::Gf2Poly q{1, 0, 0, 0};
+  for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
+    q = rng_detail::mulmod(q, q);
+    if ((n >> bit) & 1) rng_detail::times_x(q);
+  }
+  // state <- q(T) state = sum over k of q_k T^k state (the reference
+  // xoshiro256 jump() loop, with q in place of the JUMP constant).
+  std::array<std::uint64_t, 4> acc{};
+  for (int k = 0; k < 256; ++k) {
+    if ((q[k / 64] >> (k % 64)) & 1)
+      for (std::size_t w = 0; w < 4; ++w) acc[w] ^= state_[w];
+    (void)next_u64();
+  }
+  state_ = acc;
+}
 
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;

@@ -68,6 +68,17 @@ class Rng {
     return result;
   }
 
+  /// Advances the state exactly as `n` calls to next_u64() would, in
+  /// O(log n) (the standard engines' `discard`). Lets a pass over a dataset
+  /// start any sample at its own place in one shared stream: a worker
+  /// copies the generator and discards the draws of the samples before its
+  /// first one. The xoshiro256 state update is linear over GF(2), so
+  /// advancing by n is multiplying the state by q(T) for
+  /// q(x) = x^n mod p(x), p the transition's characteristic polynomial:
+  /// q comes from square-and-multiply modulo p, and applying it costs 256
+  /// steps. Below that many draws it simply steps.
+  void discard(std::uint64_t n) noexcept;
+
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
   result_type operator()() noexcept { return next_u64(); }
@@ -143,5 +154,16 @@ class Rng {
 
   std::array<std::uint64_t, 4> state_{};
 };
+
+namespace rng_detail {
+/// A GF(2) polynomial of degree < 256: coefficient k is bit k % 64 of
+/// word k / 64.
+using Gf2Poly = std::array<std::uint64_t, 4>;
+
+/// a(x) * b(x) mod p(x), p the characteristic polynomial of the xoshiro256
+/// state transition that Rng::discard reduces by. x^(2^128) mod p is the
+/// reference xoshiro256 JUMP polynomial, which pins p in the tests.
+[[nodiscard]] Gf2Poly mulmod(const Gf2Poly& a, const Gf2Poly& b) noexcept;
+}  // namespace rng_detail
 
 }  // namespace sparkxd

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/parallel.hpp"
 #include "data/canvas.hpp"
 
 namespace sparkxd::data {
@@ -208,21 +209,21 @@ Dataset make_dataset(Task task, std::size_t n, std::uint64_t seed) {
   ds.height = kSide;
   ds.num_classes = 10;
   ds.name = to_string(task);
-  ds.images.reserve(n);
-  ds.labels.reserve(n);
 
   Rng rng(hash_combine(seed, static_cast<std::uint64_t>(task)));
   // Balanced labels in shuffled order so any prefix is roughly balanced.
-  std::vector<std::uint8_t> labels(n);
+  ds.labels.resize(n);
   for (std::size_t i = 0; i < n; ++i)
-    labels[i] = static_cast<std::uint8_t>(i % 10);
-  rng.shuffle(labels);
+    ds.labels[i] = static_cast<std::uint8_t>(i % 10);
+  rng.shuffle(ds.labels);
 
-  for (std::size_t i = 0; i < n; ++i) {
+  // Each image draws only from its own fork of the post-shuffle stream, so
+  // the images render concurrently, each into its own slot.
+  ds.images.resize(n);
+  parallel_for(n, [&](std::size_t i) {
     Rng sample_rng = rng.fork(i);
-    ds.images.push_back(render_sample(task, labels[i], sample_rng));
-    ds.labels.push_back(labels[i]);
-  }
+    ds.images[i] = render_sample(task, ds.labels[i], sample_rng);
+  });
   return ds;
 }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <ranges>
+#include <span>
 
 #include "common/contracts.hpp"
 
@@ -157,33 +158,41 @@ std::vector<std::uint32_t> Network::process(const std::vector<float>& image,
                                             bool learn, Rng& rng) {
   SPARKXD_REQUIRE(image.size() == cfg_.n_inputs,
                   "image size must match n_inputs");
+  encoder_.set_image(image);
+  encoder_.encode(rng, cfg_.timesteps, raster_);
+  return process(raster_, learn);
+}
+
+std::vector<std::uint32_t> Network::process(const SpikeRaster& raster,
+                                            bool learn) {
+  SPARKXD_REQUIRE(raster.inputs() == cfg_.n_inputs &&
+                      raster.steps() == cfg_.timesteps,
+                  "spike raster must cover n_inputs pixels for every "
+                  "timestep");
   if (!learn) sync_transpose();
   // A learning pass adapts thetas on every layer: any InferenceState
   // snapshotted before it is stale from here on.
   if (learn) ++theta_generation_;
   reset_dynamics();
   for (Layer& lay : layers_) lay.lif.set_plastic(learn);
-  encoder_.set_image(image);
 
   const std::size_t n_layers = layers_.size();
   std::vector<std::uint32_t> counts(layers_.back().n_out, 0);
 
   for (std::size_t t = 0; t < cfg_.timesteps; ++t) {
-    encoder_.step(rng, in_spikes_);
-
     // Feed the spike wave through the stack: layer l's output spikes are
     // layer l+1's input spikes within the same timestep.
-    const std::vector<std::uint32_t>* spikes = &in_spikes_;
+    std::span<const std::uint32_t> spikes = raster.step(t);
     for (std::size_t l = 0; l < n_layers; ++l) {
       Layer& lay = layers_[l];
-      if (learn) lay.traces.step(*spikes);
+      if (learn) lay.traces.step(spikes);
 
       // Synaptic drive: per-neuron sum over this step's spiking inputs.
       if (learn) {
         // Training reads the row-major array: STDP updates weight rows
         // mid-sample and the next step's gather must see them. The blocked
         // gather writes every neuron, zero for an empty wave.
-        sum_rows(lay.w.data(), lay.n_in, lay.n_out, *spikes,
+        sum_rows(lay.w.data(), lay.n_in, lay.n_out, spikes,
                  lay.current.data());
       } else {
         // Inference: spike-outer / neuron-inner over contiguous transposed
@@ -192,7 +201,7 @@ std::vector<std::uint32_t> Network::process(const std::vector<float>& image,
         std::fill(lay.current.begin(), lay.current.end(), 0.0f);
         const std::size_t nn = lay.n_out;
         float* cur = lay.current.data();
-        for (const auto i : *spikes) {
+        for (const auto i : spikes) {
           const float* col = lay.wt.data() + std::size_t{i} * nn;
           for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
         }
@@ -205,7 +214,7 @@ std::vector<std::uint32_t> Network::process(const std::vector<float>& image,
           stdp_post_update(lay.w.data() + static_cast<std::size_t>(s) * lay.n_in,
                            lay.n_in, lay.traces.values(), cfg_.stdp);
       }
-      spikes = &lay.out_spikes;
+      spikes = lay.out_spikes;
     }
   }
 

@@ -179,15 +179,21 @@ class Network {
   [[nodiscard]] bool transpose_synced() const noexcept;
 
   /// Presents one image for config().timesteps steps and returns the OUTPUT
-  /// layer's per-neuron spike counts. With learn=true, STDP and threshold
-  /// adaptation are active on every layer and all weight rows are
-  /// re-normalized afterwards; with learn=false the network is a pure
-  /// inference engine (weights and thetas untouched) that integrates every
-  /// layer on every timestep — the dense reference infer() is checked
-  /// against. `rng` drives the Poisson spike trains (the only stochastic
-  /// part — hidden layers are deterministic given their input spikes).
+  /// layer's per-neuron spike counts: set_image, encode the whole sample
+  /// with `rng` (the only stochastic part — hidden layers are deterministic
+  /// given their input spikes), then process(raster, learn).
   std::vector<std::uint32_t> process(const std::vector<float>& image,
                                      bool learn, Rng& rng);
+
+  /// The dense kernel over a pre-drawn sample (PoissonEncoder::encode over
+  /// an image of n_inputs pixels, config().timesteps steps). With
+  /// learn=true, STDP and threshold adaptation are active on every layer
+  /// and all weight rows are re-normalized afterwards; with learn=false the
+  /// network is a pure inference engine (weights and thetas untouched) that
+  /// integrates every layer on every timestep — the dense reference infer()
+  /// is checked against. Drawing a sample ahead of the kernel is what lets
+  /// a training epoch encode the next samples while this one learns.
+  std::vector<std::uint32_t> process(const SpikeRaster& raster, bool learn);
 
   /// Pure inference through a caller-owned InferenceState, const on the
   /// network and reusing the state's buffers — the per-trial / per-worker
@@ -242,8 +248,8 @@ class Network {
   NetworkConfig cfg_;
   std::vector<Layer> layers_;  ///< [0] = input side, back() = output layer
   PoissonEncoder encoder_;
-  std::vector<std::uint32_t> in_spikes_;  ///< reused input-spike scratch
-  std::uint64_t theta_generation_ = 0;    ///< see theta_generation()
+  SpikeRaster raster_;                  ///< reused input-spike scratch
+  std::uint64_t theta_generation_ = 0;  ///< see theta_generation()
 };
 
 }  // namespace sparkxd::snn

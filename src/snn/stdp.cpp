@@ -17,7 +17,7 @@ PreTraces::PreTraces(std::size_t n_inputs, float tau_ms, float dt_ms)
 
 void PreTraces::reset() { std::fill(x_.begin(), x_.end(), 0.0f); }
 
-void PreTraces::step(const std::vector<std::uint32_t>& input_spikes) {
+void PreTraces::step(std::span<const std::uint32_t> input_spikes) {
   for (float& x : x_) x *= decay_;
   for (const auto i : input_spikes) {
     SPARKXD_REQUIRE(i < x_.size(), "input spike index out of range");

@@ -3,6 +3,8 @@
 // StdpParams doc comment in params.hpp for the rule and its provenance).
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "snn/params.hpp"
@@ -17,7 +19,7 @@ class PreTraces {
 
   void reset();
   /// Decays all traces by one step, then sets spiking inputs' traces to 1.
-  void step(const std::vector<std::uint32_t>& input_spikes);
+  void step(std::span<const std::uint32_t> input_spikes);
 
   [[nodiscard]] const std::vector<float>& values() const noexcept {
     return x_;

@@ -1,6 +1,8 @@
 #include "snn/trainer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -8,27 +10,157 @@
 
 namespace sparkxd::snn {
 
+namespace {
+
+/// Samples a training epoch draws ahead of the learning pass when other
+/// workers are free: block b learns while block b + 1 is encoded.
+constexpr std::size_t kEncodeBlock = 32;
+
+/// The stream offsets of a pass over `ds` (the contract in
+/// snn/encoding.hpp): sample i's first draw comes offsets[i] draws after
+/// the pass's first draw, and offsets[size()] is the pass total. Checks
+/// every image's width and pixel range, so a bad sample throws before any
+/// sample draws.
+std::vector<std::uint64_t> draw_offsets(const data::Dataset& ds,
+                                        const NetworkConfig& cfg) {
+  std::vector<std::uint64_t> offsets(ds.size() + 1, 0);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    SPARKXD_REQUIRE(ds.images[i].size() == cfg.n_inputs,
+                    "every image must have n_inputs pixels");
+    offsets[i + 1] =
+        offsets[i] + cfg.timesteps * PoissonEncoder::count_active(ds.images[i]);
+  }
+  return offsets;
+}
+
+/// A copy of `rng` advanced by `n` draws.
+Rng advanced(const Rng& rng, std::uint64_t n) {
+  Rng r = rng;
+  r.discard(n);
+  return r;
+}
+
+}  // namespace
+
 void train_epoch(Network& net, const data::Dataset& ds, Rng& rng) {
   SPARKXD_REQUIRE(ds.pixels() == net.config().n_inputs,
                   "dataset pixel count must match the network input width");
-  for (std::size_t i = 0; i < ds.size(); ++i)
-    (void)net.process(ds.images[i], /*learn=*/true, rng);
+  const auto offsets = draw_offsets(ds, net.config());
+  const std::size_t n = ds.size();
+  const std::size_t steps = net.config().timesteps;
+  const float max_rate = net.config().max_rate;
+
+  // The epoch runs in blocks, double-buffered. Drawing ahead pays only
+  // when another worker can encode while this one learns; with one worker
+  // (or nested in a parallel region) a block is one sample, so the rasters
+  // hold one sample's spikes instead of a block's.
+  const std::size_t block =
+      parallel_chunk_count(kEncodeBlock) > 1 ? kEncodeBlock : 1;
+  std::array<std::vector<SpikeRaster>, 2> rasters;
+  for (auto& buf : rasters) buf.resize(std::min(n, block));
+  // `stream` sits at the first draw of the next block to encode. Chunk c of
+  // the block [base, end), split as parallel_for_chunks splits it, starts
+  // offsets[b] - offsets[base] draws past `start`, a copy of `stream`; the
+  // last chunk ends at the block's end and moves `stream` there, so a
+  // one-chunk block never discards.
+  Rng stream = rng;
+  const auto encode_chunk = [&](std::size_t base, std::size_t end,
+                                std::size_t parts, std::size_t c,
+                                const Rng& start,
+                                std::vector<SpikeRaster>& out) {
+    const std::size_t b = base + c * (end - base) / parts;
+    const std::size_t e = base + (c + 1) * (end - base) / parts;
+    Rng r = advanced(start, offsets[b] - offsets[base]);
+    PoissonEncoder enc(max_rate);
+    for (std::size_t i = b; i < e; ++i) {
+      enc.set_image(ds.images[i]);
+      enc.encode(r, steps, out[i - base]);
+    }
+    if (c + 1 == parts) stream = r;
+  };
+
+  // Pass p: item 0 learns block p - 1 from one buffer, serially, sample by
+  // sample, while items 1.. draw block p into the other. The first pass
+  // only draws and the last only learns. Nested inside a parallel region
+  // the items run inline, in order.
+  const std::size_t n_blocks = (n + block - 1) / block;
+  for (std::size_t p = 0; p <= n_blocks; ++p) {
+    const std::size_t begin = std::min(n, p * block);
+    const std::size_t end = std::min(n, begin + block);
+    const std::size_t learn_begin = p == 0 ? 0 : (p - 1) * block;
+    const std::size_t parts =
+        begin == end
+            ? 0
+            : std::max<std::size_t>(1, parallel_chunk_count(end - begin) - 1);
+    const auto& learn = rasters[(p + 1) % 2];
+    auto& ahead = rasters[p % 2];
+    parallel_for(1 + parts, [&, start = stream](std::size_t item) {
+      if (item == 0) {
+        for (std::size_t i = learn_begin; i < begin; ++i)
+          (void)net.process(learn[i - learn_begin], /*learn=*/true);
+      } else {
+        encode_chunk(begin, end, parts, item - 1, start, ahead);
+      }
+    });
+  }
+  rng = stream;
 }
 
 NeuronLabels label_neurons(Network& net, const data::Dataset& ds, Rng& rng) {
   SPARKXD_REQUIRE(ds.size() > 0, "cannot label neurons on an empty dataset");
+  SPARKXD_REQUIRE(ds.pixels() == net.config().n_inputs,
+                  "dataset pixel count must match the network input width");
   const std::size_t n = net.config().n_neurons;
   const std::size_t k = ds.num_classes;
-  // responses[n][c] = summed spikes of neuron n over class-c samples.
-  std::vector<double> responses(n * k, 0.0);
+  SPARKXD_REQUIRE(k > 0, "cannot label neurons on a dataset with no classes");
+  SPARKXD_REQUIRE(ds.labels.size() == ds.size(),
+                  "every labelling sample needs a label");
   std::vector<std::size_t> class_count(k, 0);
-
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    const auto counts = net.process(ds.images[i], /*learn=*/false, rng);
-    const auto c = ds.labels[i];
+  for (const auto c : ds.labels) {
+    SPARKXD_REQUIRE(c < k, "sample label out of range [0, num_classes)");
     ++class_count[c];
-    for (std::size_t j = 0; j < n; ++j) responses[j * k + c] += counts[j];
   }
+  const auto offsets = draw_offsets(ds, net.config());
+
+  // The float event kernel is bitwise process(learn=false) over a shared
+  // const network, so chunks own only an InferenceState. An event-fx
+  // network labels through one float copy, as the dense kernel always did.
+  net.sync_transpose();
+  std::optional<Network> float_copy;
+  if (net.engine() != EngineKind::kEvent) {
+    float_copy = net;
+    float_copy->set_engine(EngineKind::kEvent);
+  }
+  const Network& kernel = float_copy ? *float_copy : net;
+
+  // responses[n][c] = summed spikes of neuron n over class-c samples, per
+  // chunk. The sums are integer-valued doubles, so adding the chunks in
+  // order is exact.
+  // Chunk c starts at its first sample's place in the caller's stream; the
+  // last chunk ends where the serial loop would, and hands that state back.
+  const std::size_t n_chunks = parallel_chunk_count(ds.size());
+  std::vector<std::vector<double>> chunk_responses(n_chunks);
+  Rng after = rng;
+  parallel_for_chunks(
+      ds.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        InferenceState state(kernel);
+        Rng r = advanced(rng, offsets[begin]);
+        auto& responses = chunk_responses[chunk];
+        responses.assign(n * k, 0.0);
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto counts = kernel.infer(state, ds.images[i], r);
+          const auto c = ds.labels[i];
+          for (std::size_t j = 0; j < n; ++j)
+            responses[j * k + c] += counts[j];
+        }
+        if (end == ds.size()) after = r;
+      },
+      n_chunks);
+  rng = after;
+  std::vector<double> responses(n * k, 0.0);
+  for (const auto& part : chunk_responses)
+    for (std::size_t x = 0; x < part.size(); ++x) responses[x] += part[x];
 
   NeuronLabels out;
   out.num_classes = k;

@@ -31,11 +31,27 @@ struct NeuronLabels {
   std::size_t num_classes = 0;
 };
 
-/// Runs one unsupervised STDP pass over the dataset (in order).
+/// Runs one unsupervised STDP pass over the dataset (in order). Learning is
+/// serial, sample by sample, but the spike trains are drawn ahead: while
+/// one block of samples learns, the next block is encoded across the other
+/// workers, each chunk starting at its first sample's place in `rng`'s
+/// stream (Rng::discard, the offset contract in snn/encoding.hpp). The
+/// draws, the learned state and `rng` afterwards equal the one-sample-at-
+/// a-time loop's at every thread count. Every image is checked (width and
+/// pixel range) before anything learns or draws.
 void train_epoch(Network& net, const data::Dataset& ds, Rng& rng);
 
 /// Assigns each neuron the class for which its average spike count (over the
-/// labelled set, inference mode) is highest.
+/// labelled set, inference mode) is highest. Samples are scored
+/// concurrently through the float event kernel (bitwise
+/// process(learn=false)) over the shared network, each chunk owning an
+/// InferenceState and starting at its first sample's place in `rng`'s
+/// stream: the draws, and `rng` afterwards, equal those of the serial loop
+/// over the samples, so the labels are the same at every thread count. An
+/// event-fx network labels through one float copy. The dataset is checked
+/// before any draw (classes present, every label below num_classes, every
+/// image n_inputs pixels in [0, 1]); on a rejection `rng` is unchanged.
+/// Syncs the network's transposed weights.
 [[nodiscard]] NeuronLabels label_neurons(Network& net,
                                          const data::Dataset& ds, Rng& rng);
 

@@ -56,6 +56,59 @@ TEST(Rng, UniformThresholdIsTheExactIntegerFormOfTheCompare) {
   EXPECT_THROW((void)Rng::uniform_threshold(1.5), ContractViolation);
 }
 
+// ----------------------------------------------------------- Rng::discard
+
+TEST(Rng, DiscardEqualsThatManyDraws) {
+  for (const std::uint64_t seed : {0ull, 1ull, 42ull, 0xdeadbeefull}) {
+    for (const std::uint64_t n :
+         {0ull, 1ull, 63ull, 64ull, 255ull, 256ull, 257ull, 4095ull,
+          1000007ull}) {
+      Rng stepped(seed), jumped(seed);
+      for (std::uint64_t i = 0; i < n; ++i) (void)stepped.next_u64();
+      jumped.discard(n);
+      for (int k = 0; k < 4; ++k)
+        ASSERT_EQ(jumped.next_u64(), stepped.next_u64())
+            << "seed " << seed << ", n " << n << ", draw " << k;
+    }
+  }
+}
+
+TEST(Rng, DiscardComposes) {
+  const std::uint64_t sizes[] = {0, 3, 255, 256, 700, 65536, 1234567};
+  for (const std::uint64_t a : sizes) {
+    for (const std::uint64_t b : sizes) {
+      Rng twice(9), once(9);
+      twice.discard(a);
+      twice.discard(b);
+      once.discard(a + b);
+      EXPECT_EQ(twice.next_u64(), once.next_u64()) << a << " + " << b;
+    }
+  }
+  // Far past any count a loop could check: still additive.
+  Rng twice(10), once(10);
+  twice.discard(1ull << 62);
+  twice.discard((1ull << 62) + 5);
+  once.discard((1ull << 63) + 5);
+  EXPECT_EQ(twice.next_u64(), once.next_u64());
+}
+
+TEST(Rng, CharacteristicPolynomialGivesTheReferenceJumpConstants) {
+  // The reference xoshiro256 jump() advances by 2^128 draws and
+  // long_jump() by 2^192; their constants are x^(2^128) and x^(2^192)
+  // modulo the characteristic polynomial discard() reduces by.
+  rng_detail::Gf2Poly q{2, 0, 0, 0};  // x
+  for (int k = 0; k < 128; ++k) q = rng_detail::mulmod(q, q);
+  EXPECT_EQ(q, (rng_detail::Gf2Poly{0x180ec6d33cfd0abaULL,
+                                    0xd5a61266f0c9392cULL,
+                                    0xa9582618e03fc9aaULL,
+                                    0x39abdc4529b1661cULL}));
+  for (int k = 128; k < 192; ++k) q = rng_detail::mulmod(q, q);
+  EXPECT_EQ(q, (rng_detail::Gf2Poly{0x76e15d3efefdcbbfULL,
+                                    0xc5004e441c522fb3ULL,
+                                    0x77710069854ee241ULL,
+                                    0x39109bb02acbe635ULL}));
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1), b(2);
   int equal = 0;

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/contracts.hpp"
 #include "data/canvas.hpp"
 #include "data/dataset.hpp"
+#include "test_env_util.hpp"
 
 namespace sparkxd::data {
 namespace {
@@ -186,6 +189,29 @@ INSTANTIATE_TEST_SUITE_P(Tasks, DatasetShape,
                            return info.param == Task::kDigits ? "Digits"
                                                               : "Fashion";
                          });
+
+/// Hash of every image's pixel bits and every label, sample order.
+std::uint64_t dataset_hash(const Dataset& ds) {
+  std::uint64_t h = 0;
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    h = hash_combine(h, ds.labels[i]);
+    for (const float p : ds.images[i])
+      h = hash_combine(h, std::bit_cast<std::uint32_t>(p));
+  }
+  return h;
+}
+
+TEST(Dataset, SynthesisMatchesKnownAnswerAtAnyThreadCount) {
+  for (const char* threads : {"1", "8"}) {
+    const testutil::ThreadsOverride knob(threads);
+    EXPECT_EQ(dataset_hash(make_dataset(Task::kDigits, 37, 5)),
+              7233080873857002298ull)
+        << threads << " threads";
+    EXPECT_EQ(dataset_hash(make_dataset(Task::kFashion, 37, 5)),
+              11921903290783623176ull)
+        << threads << " threads";
+  }
+}
 
 TEST(Dataset, TakeDropPartition) {
   const auto ds = make_dataset(Task::kDigits, 30, 4);

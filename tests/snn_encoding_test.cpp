@@ -228,5 +228,64 @@ TEST(PoissonEncoder, ActivePixelsCountsNonZeroIntensities) {
   EXPECT_EQ(enc.active_pixels(), 0u);
 }
 
+TEST(PoissonEncoder, CountActiveIsTheDrawCountOfEachStep) {
+  // count_active shares set_image's definition of an active pixel, so it
+  // predicts how far one step advances the Rng.
+  const std::vector<std::vector<float>> images{
+      {0.0f, 0.3f, 1.0f, 0.0f}, std::vector<float>(9, 0.0f),
+      std::vector<float>(9, 1.0f), {std::nextafter(0.0f, 1.0f), 0.5f}};
+  PoissonEncoder enc(0.4f);
+  for (const auto& image : images) {
+    enc.set_image(image);
+    EXPECT_EQ(PoissonEncoder::count_active(image), enc.active_pixels());
+    Rng stepped(8), skipped(8);
+    std::vector<std::uint32_t> spikes;
+    enc.step(stepped, spikes);
+    skipped.discard(PoissonEncoder::count_active(image));
+    EXPECT_EQ(stepped.next_u64(), skipped.next_u64());
+  }
+  EXPECT_THROW((void)PoissonEncoder::count_active({0.5f, 1.5f}),
+               ContractViolation);
+  EXPECT_THROW((void)PoissonEncoder::count_active({std::nanf("")}),
+               ContractViolation);
+  EXPECT_THROW((void)PoissonEncoder::count_active({-0.0f, -0.1f}),
+               ContractViolation);
+}
+
+TEST(PoissonEncoder, EncodeMakesTheDrawsOfThatManySteps) {
+  // A dense image, then a sparse one into the same raster: each raster
+  // holds exactly the spikes of T step() calls, sized by the spikes drawn.
+  std::vector<float> dense(50);
+  for (std::size_t i = 0; i < dense.size(); ++i)
+    dense[i] = static_cast<float>(i % 5) / 4.0f;
+  std::vector<float> sparse{0.0f, 0.9f, 0.0f, 0.0f, 0.2f};
+  PoissonEncoder enc(0.6f);
+  SpikeRaster raster;
+  for (const auto* image : {&dense, &sparse}) {
+    enc.set_image(*image);
+    Rng a(21), b(21);
+    enc.encode(a, 37, raster);
+    EXPECT_EQ(raster.inputs(), image->size());
+    ASSERT_EQ(raster.steps(), 37u);
+    std::size_t total = 0;
+    std::vector<std::uint32_t> spikes;
+    for (std::size_t t = 0; t < 37; ++t) {
+      enc.step(b, spikes);
+      const auto step = raster.step(t);
+      EXPECT_EQ(std::vector<std::uint32_t>(step.begin(), step.end()), spikes)
+          << "step " << t;
+      total += spikes.size();
+    }
+    EXPECT_EQ(raster.size(), total);
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+  // Zero steps: an empty raster, no draws.
+  Rng r(4);
+  enc.encode(r, 0, raster);
+  EXPECT_EQ(raster.steps(), 0u);
+  EXPECT_EQ(raster.size(), 0u);
+  EXPECT_EQ(r.next_u64(), Rng(4).next_u64());
+}
+
 }  // namespace
 }  // namespace sparkxd::snn

@@ -16,6 +16,7 @@
 #include "data/dataset.hpp"
 #include "snn/network.hpp"
 #include "snn/trainer.hpp"
+#include "test_env_util.hpp"
 
 namespace sparkxd::snn {
 namespace {
@@ -230,6 +231,34 @@ TEST(Network, InferMatchesProcessBitwise) {
     EXPECT_EQ(net.process(img, /*learn=*/false, a), net.infer(state, img, b))
         << "intensity " << intensity;
   }
+}
+
+TEST(Network, ProcessOfAPreDrawnRasterEqualsProcessOfTheImage) {
+  auto cfg = tiny_config();
+  cfg.hidden_neurons = {17};
+  const auto ds = data::make_dataset(data::Task::kDigits, 6, 2);
+  Network by_image(cfg), by_raster(cfg);
+  PoissonEncoder enc(cfg.max_rate);
+  SpikeRaster raster;
+  Rng a(5), b(5);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const bool learn = i % 3 != 2;
+    const auto expect = by_image.process(ds.images[i], learn, a);
+    enc.set_image(ds.images[i]);
+    enc.encode(b, cfg.timesteps, raster);
+    EXPECT_EQ(by_raster.process(raster, learn), expect) << "sample " << i;
+  }
+  for (std::size_t l = 0; l < by_image.n_layers(); ++l) {
+    EXPECT_EQ(by_raster.weights(l), by_image.weights(l));
+    EXPECT_EQ(by_raster.thetas(l), by_image.thetas(l));
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  // A raster of the wrong length or width is rejected.
+  enc.encode(b, cfg.timesteps - 1, raster);
+  EXPECT_THROW((void)by_raster.process(raster, false), ContractViolation);
+  enc.set_image(std::vector<float>(cfg.n_inputs - 1, 0.5f));
+  enc.encode(b, cfg.timesteps, raster);
+  EXPECT_THROW((void)by_raster.process(raster, true), ContractViolation);
 }
 
 TEST(Network, StaleInferenceStateResyncsAfterRetraining) {
@@ -576,9 +605,13 @@ TEST(TrainEpoch, FlatNetworkMatchesKnownAnswer) {
   // drive gather and the row normalization.
   auto cfg = tiny_config();
   cfg.n_neurons = 25;
-  const auto [hash, next] = train_one_epoch(cfg);
-  EXPECT_EQ(hash, 2739947542463736954ull);
-  EXPECT_EQ(next, 15462188045957605436ull);
+  // At 3 threads the encode-ahead chunks end mid-block.
+  for (const char* threads : {"1", "3", "8"}) {
+    const testutil::ThreadsOverride knob(threads);
+    const auto [hash, next] = train_one_epoch(cfg);
+    EXPECT_EQ(hash, 2739947542463736954ull) << threads << " threads";
+    EXPECT_EQ(next, 15462188045957605436ull) << threads << " threads";
+  }
 }
 
 TEST(TrainEpoch, OddWidthStackMatchesKnownAnswer) {
@@ -587,9 +620,12 @@ TEST(TrainEpoch, OddWidthStackMatchesKnownAnswer) {
   auto cfg = tiny_config();
   cfg.hidden_neurons = {13, 27};
   cfg.n_neurons = 11;
-  const auto [hash, next] = train_one_epoch(cfg);
-  EXPECT_EQ(hash, 13027067855240947313ull);
-  EXPECT_EQ(next, 15462188045957605436ull);
+  for (const char* threads : {"1", "3", "8"}) {
+    const testutil::ThreadsOverride knob(threads);
+    const auto [hash, next] = train_one_epoch(cfg);
+    EXPECT_EQ(hash, 13027067855240947313ull) << threads << " threads";
+    EXPECT_EQ(next, 15462188045957605436ull) << threads << " threads";
+  }
 }
 
 TEST(TrainEpoch, BlockedKernelsKeepEachRowsAdditionOrder) {
@@ -625,6 +661,125 @@ TEST(TrainEpoch, BlockedKernelsKeepEachRowsAdditionOrder) {
   Rng rng(1);
   const auto counts = learn.process({1.0f, 1.0f, 1.0f}, /*learn=*/true, rng);
   EXPECT_EQ(counts, std::vector<std::uint32_t>(cfg.n_neurons, 0));
+}
+
+// ----------------------------------------------- labelling-pass known answer
+
+/// One train_epoch, then label_neurons on the same set, from a fixed start.
+/// Sample 5 is all zero (no draws) and sample 17 fully inked (every pixel
+/// draws). Returns {hash of the label ints and the bias bits, the caller
+/// Rng's next draw}.
+std::pair<std::uint64_t, std::uint64_t> label_after_one_epoch(
+    const NetworkConfig& cfg) {
+  auto ds = data::make_dataset(data::Task::kDigits, 40, 11);
+  ds.images[5].assign(ds.pixels(), 0.0f);
+  ds.images[17].assign(ds.pixels(), 1.0f);
+  Network net(cfg);
+  Rng rng(11);
+  train_epoch(net, ds, rng);
+  const auto labels = label_neurons(net, ds, rng);
+  EXPECT_EQ(labels.label.size(), cfg.n_neurons);
+  EXPECT_EQ(labels.num_classes, 10u);
+  std::uint64_t h = 0;
+  for (const std::int32_t c : labels.label)
+    h = hash_combine(h, static_cast<std::uint32_t>(c));
+  for (const double b : labels.bias)
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(b));
+  return {h, rng.next_u64()};
+}
+
+TEST(LabelNeurons, FlatNetworkMatchesKnownAnswer) {
+  auto cfg = tiny_config();
+  cfg.n_neurons = 25;
+  for (const char* threads : {"1", "3", "8"}) {
+    const testutil::ThreadsOverride knob(threads);
+    const auto [hash, next] = label_after_one_epoch(cfg);
+    EXPECT_EQ(hash, 4449993279482634569ull) << threads << " threads";
+    EXPECT_EQ(next, 12862321591406333470ull) << threads << " threads";
+  }
+}
+
+TEST(LabelNeurons, OddWidthStackMatchesKnownAnswer) {
+  auto cfg = tiny_config();
+  cfg.hidden_neurons = {13, 27};
+  cfg.n_neurons = 11;
+  for (const char* threads : {"1", "3", "8"}) {
+    const testutil::ThreadsOverride knob(threads);
+    const auto [hash, next] = label_after_one_epoch(cfg);
+    EXPECT_EQ(hash, 8551168822035103739ull) << threads << " threads";
+    EXPECT_EQ(next, 12862321591406333470ull) << threads << " threads";
+  }
+}
+
+TEST(LabelNeurons, EventFxNetworkLabelsWithTheFloatKernel) {
+  // The engine choice is an inference setting: labelling an event-fx
+  // network gives the float kernel's labels and draws, and leaves the
+  // engine as it was.
+  const auto ds = data::make_dataset(data::Task::kDigits, 30, 5);
+  auto cfg = tiny_config();
+  cfg.hidden_neurons = {16};
+  Network net(cfg);
+  Rng train_rng(5);
+  train_epoch(net, ds, train_rng);
+  Network fx = net;
+  fx.set_engine(EngineKind::kEventFx);
+  Rng r_float(6), r_fx(6);
+  const auto a = label_neurons(net, ds, r_float);
+  const auto b = label_neurons(fx, ds, r_fx);
+  EXPECT_EQ(a.label, b.label);
+  EXPECT_EQ(a.bias, b.bias);
+  EXPECT_EQ(r_float.next_u64(), r_fx.next_u64());
+  EXPECT_EQ(fx.engine(), EngineKind::kEventFx);
+}
+
+TEST(LabelNeurons, RejectsADatasetWithoutClasses) {
+  // A hand-built set leaves num_classes at 0: every label is out of range.
+  Network net(tiny_config());
+  auto ds = data::make_dataset(data::Task::kDigits, 10, 1);
+  ds.num_classes = 0;
+  Rng rng(3);
+  EXPECT_THROW((void)label_neurons(net, ds, rng), ContractViolation);
+  EXPECT_EQ(rng.next_u64(), Rng(3).next_u64());  // nothing drawn
+}
+
+TEST(LabelNeurons, RejectsALabelOutOfRange) {
+  Network net(tiny_config());
+  auto ds = data::make_dataset(data::Task::kDigits, 10, 1);
+  ds.labels[7] = 10;  // num_classes is 10
+  Rng rng(3);
+  EXPECT_THROW((void)label_neurons(net, ds, rng), ContractViolation);
+  EXPECT_EQ(rng.next_u64(), Rng(3).next_u64());
+}
+
+TEST(LabelNeurons, RejectsAWrongPixelWidth) {
+  // The declared width must match the network, and so must every image:
+  // a ragged image late in the set fails before the first sample draws.
+  Network net(tiny_config());
+  auto ds = data::make_dataset(data::Task::kDigits, 10, 1);
+  ds.width = 27;
+  Rng rng(3);
+  EXPECT_THROW((void)label_neurons(net, ds, rng), ContractViolation);
+  ds.width = 28;
+  ds.images[8].pop_back();
+  EXPECT_THROW((void)label_neurons(net, ds, rng), ContractViolation);
+  EXPECT_EQ(rng.next_u64(), Rng(3).next_u64());
+}
+
+TEST(TrainEpoch, RejectsABadImageBeforeLearning) {
+  // A ragged image, or a pixel outside [0, 1], late in the set fails before
+  // the first sample learns or draws.
+  Network net(tiny_config());
+  const Network before = net;
+  auto ds = data::make_dataset(data::Task::kDigits, 10, 1);
+  ds.images[8].pop_back();
+  Rng rng(3);
+  EXPECT_THROW(train_epoch(net, ds, rng), ContractViolation);
+  ds.images[8].push_back(0.0f);
+  ds.images[9][4] = 1.5f;
+  EXPECT_THROW(train_epoch(net, ds, rng), ContractViolation);
+  EXPECT_EQ(net.weights(0), before.weights(0));
+  EXPECT_EQ(net.thetas(0), before.thetas(0));
+  EXPECT_EQ(rng.next_u64(), Rng(3).next_u64());
 }
 
 TEST(DeepNetwork, RejectsZeroSizedHiddenLayers) {

@@ -16,6 +16,9 @@
 namespace sparkxd::snn {
 namespace {
 
+/// One step's input spike list, passed to PreTraces::step as a span.
+using Spikes = std::vector<std::uint32_t>;
+
 // ------------------------------------------------------------ Poisson coding
 
 TEST(Encoding, RateProportionalToIntensity) {
@@ -90,19 +93,19 @@ TEST(Encoding, SpikeTrainCountIsBinomial) {
 
 TEST(PreTracesTest, SetToOneOnSpikeAndDecay) {
   PreTraces traces(3, 20.0f, 1.0f);
-  traces.step({1});
+  traces.step(Spikes{1});
   EXPECT_EQ(traces.values()[1], 1.0f);
   EXPECT_EQ(traces.values()[0], 0.0f);
-  traces.step({});
+  traces.step(Spikes{});
   const float decay = std::exp(-1.0f / 20.0f);
   EXPECT_NEAR(traces.values()[1], decay, 1e-5);
-  traces.step({});
+  traces.step(Spikes{});
   EXPECT_NEAR(traces.values()[1], decay * decay, 1e-5);
 }
 
 TEST(PreTracesTest, ResetClears) {
   PreTraces traces(2, 20.0f, 1.0f);
-  traces.step({0, 1});
+  traces.step(Spikes{0, 1});
   traces.reset();
   EXPECT_EQ(traces.values()[0], 0.0f);
   EXPECT_EQ(traces.values()[1], 0.0f);
@@ -110,13 +113,13 @@ TEST(PreTracesTest, ResetClears) {
 
 TEST(PreTracesTest, RepeatedSpikesSaturateAtOne) {
   PreTraces traces(1, 20.0f, 1.0f);
-  for (int t = 0; t < 50; ++t) traces.step({0});
+  for (int t = 0; t < 50; ++t) traces.step(Spikes{0});
   EXPECT_EQ(traces.values()[0], 1.0f);
 }
 
 TEST(PreTracesTest, RejectsOutOfRangeSpike) {
   PreTraces traces(2, 20.0f, 1.0f);
-  EXPECT_THROW(traces.step({5}), ContractViolation);
+  EXPECT_THROW(traces.step(Spikes{5}), ContractViolation);
 }
 
 // ---------------------------------------------------------------------- STDP
